@@ -4,21 +4,21 @@
  * per-call nanoseconds for the panel kernels on the shapes the
  * classifiers actually run — the 40-ish row signature panel at
  * gpu::kNumSelectedCounters dims, plus a larger KNN-style panel —
- * for every backend compiled into this binary. Reports JSON on
- * stdout and mirrors it to BENCH_simd.json:
+ * for the kernel this CPU runs and for the scalar reference loops
+ * (kernels_ref.h) as the in-process control. Reports JSON on stdout
+ * and mirrors it to BENCH_simd.json:
  *
  *   {"bench": "simd_kernels", "rows": ..., "dims": ...,
- *    "backends": [{"backend": "scalar",
- *                  "argmin_wl2_ns": ..., "argmin_l2_ns": ...,
- *                  "l2sq_to_many_ns": ..., "l2sq_tile_ns_per_row":
- *                  ..., "pair_l2sq_ns": ...}, ...],
+ *    "simd_backend": "avx2",
+ *    "kernel": {"argmin_wl2_ns": ..., "argmin_l2_ns": ...,
+ *               "l2sq_to_many_ns": ..., "l2sq_tile_ns_per_row": ...},
+ *    "ref": {...same fields...}, "pair_l2sq_ns": ...,
  *    "conformant": true}
  *
- * "conformant" cross-checks every backend's argmin winner and
- * distances against the scalar reference over the benched query set
- * (the exhaustive shape sweep lives in
- * tests/simd/kernel_conformance_test.cc; this is the smoke-level
- * repeat so a bench artefact is self-validating).
+ * "conformant" cross-checks the kernel's argmin winner and distances
+ * against the reference over the benched query set (the exhaustive
+ * shape sweep lives in tests/simd/kernel_conformance_test.cc; this is
+ * the smoke-level repeat so a bench artefact is self-validating).
  */
 
 #include <chrono>
@@ -65,15 +65,76 @@ nsPerCall(int iters, const auto &fn)
            double(iters);
 }
 
-struct BackendRow
+struct PanelTimes
 {
-    std::string name;
     double argminWl2Ns = 0.0;
     double argminL2Ns = 0.0;
     double toManyNs = 0.0;
     double tileNsPerRow = 0.0;
-    double pairL2Ns = 0.0;
 };
+
+/** The panel kernels of one implementation, called through pointers
+ *  so the dispatched kernel and the reference run the same harness. */
+struct PanelKernels
+{
+    decltype(&simd::ref::argminWL2) argminWL2;
+    decltype(&simd::ref::argminL2) argminL2;
+    decltype(&simd::ref::l2sqToMany) l2sqToMany;
+    decltype(&simd::ref::l2sqTile) l2sqTile;
+};
+
+constexpr PanelKernels kKernel = {&simd::argminWL2, &simd::argminL2,
+                                  &simd::l2sqToMany, &simd::l2sqTile};
+constexpr PanelKernels kReference = {
+    &simd::ref::argminWL2, &simd::ref::argminL2,
+    &simd::ref::l2sqToMany, &simd::ref::l2sqTile};
+
+PanelTimes
+timePanelKernels(const PanelKernels &k, const double *queries,
+                 std::size_t nQueries, const double *weights,
+                 const simd::Panel &sigPanel,
+                 const simd::Panel &knnPanel)
+{
+    const auto query = [&](int i) {
+        return queries + (std::size_t(i) % nQueries) * kSigDims;
+    };
+    PanelTimes t;
+    double sink = 0.0;
+    t.argminWl2Ns = nsPerCall(400000, [&](int i) {
+        sink += double(k.argminWL2(query(i), weights, sigPanel).index);
+    });
+    t.argminL2Ns = nsPerCall(400000, [&](int i) {
+        sink += double(k.argminL2(query(i), sigPanel).index);
+    });
+    std::vector<double> out(kKnnRows);
+    t.toManyNs = nsPerCall(100000, [&](int i) {
+        k.l2sqToMany(query(i), knnPanel, out.data());
+        sink += out[0];
+    });
+    std::vector<double> tile(nQueries * kKnnRows);
+    t.tileNsPerRow = nsPerCall(200, [&](int) {
+                         k.l2sqTile(queries, nQueries, kSigDims,
+                                    knnPanel, tile.data(), kKnnRows);
+                         sink += tile[0];
+                     }) /
+                     double(nQueries);
+    if (sink < 0.0) // defeat dead-code elimination
+        std::printf("# %f\n", sink);
+    return t;
+}
+
+std::string
+timesJson(const PanelTimes &t)
+{
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "{\"argmin_wl2_ns\": %.1f, \"argmin_l2_ns\": %.1f, "
+                  "\"l2sq_to_many_ns\": %.1f, "
+                  "\"l2sq_tile_ns_per_row\": %.1f}",
+                  t.argminWl2Ns, t.argminL2Ns, t.toManyNs,
+                  t.tileNsPerRow);
+    return buf;
+}
 
 } // namespace
 
@@ -107,90 +168,51 @@ main()
             queries[q * kSigDims + d] =
                 sigBlock[row * kSigDims + d] + rng.uniform(-30.0, 30.0);
     }
-    const auto query = [&](int i) {
-        return queries.data() +
-               (std::size_t(i) % nQueries) * kSigDims;
-    };
+    const PanelTimes kernel =
+        timePanelKernels(kKernel, queries.data(), nQueries,
+                         weights.data(), sigPanel, knnPanel);
+    const PanelTimes reference =
+        timePanelKernels(kReference, queries.data(), nQueries,
+                         weights.data(), sigPanel, knnPanel);
+    double sink = 0.0;
+    const double pairL2Ns = nsPerCall(1000000, [&](int i) {
+        sink += simd::ref::l2sq(
+            queries.data() + (std::size_t(i) % nQueries) * kSigDims,
+            sigBlock.data(), kSigDims);
+    });
+    if (sink < 0.0)
+        std::printf("# %f\n", sink);
 
-    const simd::Backend initial = simd::activeBackend();
-    std::vector<BackendRow> rows;
+    // Smoke conformance against the scalar reference.
     bool conformant = true;
-
-    for (const simd::Backend b :
-         {simd::Backend::Scalar, simd::Backend::Avx2,
-          simd::Backend::Neon}) {
-        if (!simd::backendAvailable(b) || !simd::forceBackend(b))
-            continue;
-        const simd::Kernels &k = simd::kernels();
-        BackendRow row;
-        row.name = simd::backendName(b);
-
-        double sink = 0.0;
-        row.argminWl2Ns = nsPerCall(400000, [&](int i) {
-            sink += double(
-                k.argminWL2(query(i), weights.data(), sigPanel).index);
-        });
-        row.argminL2Ns = nsPerCall(400000, [&](int i) {
-            sink += double(k.argminL2(query(i), sigPanel).index);
-        });
-        std::vector<double> out(kKnnRows);
-        row.toManyNs = nsPerCall(100000, [&](int i) {
-            k.l2sqToMany(query(i), knnPanel, out.data());
-            sink += out[0];
-        });
-        std::vector<double> tile(nQueries * kKnnRows);
-        row.tileNsPerRow = nsPerCall(200, [&](int) {
-                               k.l2sqTile(queries.data(), nQueries,
-                                          kSigDims, knnPanel,
-                                          tile.data(), kKnnRows);
-                               sink += tile[0];
-                           }) /
-                           double(nQueries);
-        row.pairL2Ns = nsPerCall(1000000, [&](int i) {
-            sink += k.l2sq(query(i), sigBlock.data(), kSigDims);
-        });
-        if (sink < 0.0) // defeat dead-code elimination
-            std::printf("# %f\n", sink);
-
-        // Smoke conformance against the pinned scalar reference.
-        for (std::size_t q = 0; q < nQueries; ++q) {
-            const double *qp = queries.data() + q * kSigDims;
-            const simd::Argmin got =
-                k.argminWL2(qp, weights.data(), sigPanel);
-            const simd::Argmin want =
-                simd::ref::argminWL2(qp, weights.data(), sigPanel);
-            if (got.index != want.index ||
-                std::memcmp(&got.sq, &want.sq, sizeof got.sq) != 0) {
-                warn("simd_kernels: %s argminWL2 diverges from the "
-                     "scalar reference at query %zu",
-                     row.name.c_str(), q);
-                conformant = false;
-            }
+    for (std::size_t q = 0; q < nQueries; ++q) {
+        const double *qp = queries.data() + q * kSigDims;
+        const simd::Argmin got =
+            simd::argminWL2(qp, weights.data(), sigPanel);
+        const simd::Argmin want =
+            simd::ref::argminWL2(qp, weights.data(), sigPanel);
+        if (got.index != want.index ||
+            std::memcmp(&got.sq, &want.sq, sizeof got.sq) != 0) {
+            warn("simd_kernels: argminWL2 diverges from the scalar "
+                 "reference at query %zu",
+                 q);
+            conformant = false;
         }
-        rows.push_back(row);
     }
-    simd::forceBackend(initial);
 
-    std::string json = "{\"bench\": \"simd_kernels\", ";
     char buf[512];
     std::snprintf(buf, sizeof buf,
-                  "\"rows\": %zu, \"dims\": %zu, \"knn_rows\": %zu, "
-                  "\"backends\": [",
-                  kSigRows, kSigDims, kKnnRows);
-    json += buf;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const BackendRow &r = rows[i];
-        std::snprintf(
-            buf, sizeof buf,
-            "%s{\"backend\": \"%s\", \"argmin_wl2_ns\": %.1f, "
-            "\"argmin_l2_ns\": %.1f, \"l2sq_to_many_ns\": %.1f, "
-            "\"l2sq_tile_ns_per_row\": %.1f, \"pair_l2sq_ns\": %.1f}",
-            i ? ", " : "", r.name.c_str(), r.argminWl2Ns, r.argminL2Ns,
-            r.toManyNs, r.tileNsPerRow, r.pairL2Ns);
-        json += buf;
-    }
-    std::snprintf(buf, sizeof buf, "], \"conformant\": %s}",
-                  conformant ? "true" : "false");
+                  "{\"bench\": \"simd_kernels\", \"rows\": %zu, "
+                  "\"dims\": %zu, \"knn_rows\": %zu, "
+                  "\"simd_backend\": \"%s\", ",
+                  kSigRows, kSigDims, kKnnRows,
+                  simd::backendName(simd::activeBackend()).c_str());
+    std::string json = buf;
+    json += "\"kernel\": " + timesJson(kernel) +
+            ", \"ref\": " + timesJson(reference);
+    std::snprintf(buf, sizeof buf,
+                  ", \"pair_l2sq_ns\": %.1f, \"conformant\": %s}",
+                  pairL2Ns, conformant ? "true" : "false");
     json += buf;
 
     std::printf("%s\n", json.c_str());

@@ -67,18 +67,14 @@ ModelStore::totalByteSize() const
 std::vector<std::uint8_t>
 ModelStore::serialize() const
 {
-    std::vector<std::uint8_t> out;
-    const std::uint32_t count = std::uint32_t(models_.size());
-    const auto *cp = reinterpret_cast<const std::uint8_t *>(&count);
-    out.insert(out.end(), cp, cp + sizeof(count));
+    ByteWriter out;
+    out.u32(std::uint32_t(models_.size()));
     for (const auto &[k, m] : models_) {
         const std::vector<std::uint8_t> blob = m.serialize();
-        const std::uint32_t len = std::uint32_t(blob.size());
-        const auto *lp = reinterpret_cast<const std::uint8_t *>(&len);
-        out.insert(out.end(), lp, lp + sizeof(len));
-        out.insert(out.end(), blob.begin(), blob.end());
+        out.u32(std::uint32_t(blob.size()));
+        out.raw(blob.data(), blob.size());
     }
-    return out;
+    return out.take();
 }
 
 ModelStore

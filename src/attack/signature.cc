@@ -83,8 +83,7 @@ SignatureModel::classify(const gpu::CounterVec &delta) const
     }
     double q[gpu::kNumSelectedCounters];
     widen(delta, q);
-    const simd::Argmin a =
-        simd::kernels().argminWL2(q, scale_.data(), panel_);
+    const simd::Argmin a = simd::argminWL2(q, scale_.data(), panel_);
     best.sig = &sigs_[a.index];
     best.distance = std::sqrt(a.sq);
     return best;
@@ -234,14 +233,6 @@ SignatureModel::decodeEchoLength(const gpu::CounterVec &delta,
 
 namespace {
 
-template <typename T>
-void
-put(std::vector<std::uint8_t> &out, const T &v)
-{
-    const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
-    out.insert(out.end(), p, p + sizeof(T));
-}
-
 constexpr std::uint32_t kMagic = 0x47535047; // "GPSG"
 
 } // namespace
@@ -249,32 +240,32 @@ constexpr std::uint32_t kMagic = 0x47535047; // "GPSG"
 std::vector<std::uint8_t>
 SignatureModel::serialize() const
 {
-    std::vector<std::uint8_t> out;
-    put(out, kMagic);
-    put(out, std::uint16_t(modelKey_.size()));
-    out.insert(out.end(), modelKey_.begin(), modelKey_.end());
-    put(out, float(threshold_));
-    put(out, float(echoCutoff_));
-    put(out, float(echoTol_));
+    ByteWriter out;
+    out.u32(kMagic);
+    out.str16(modelKey_);
+    out.f32(float(threshold_));
+    out.f32(float(echoCutoff_));
+    out.f32(float(echoTol_));
     for (std::int64_t v : echoBase_)
-        put(out, std::int32_t(v));
+        out.i32(std::int32_t(v));
     for (std::int64_t v : echoInc_)
-        put(out, std::int32_t(v));
+        out.i32(std::int32_t(v));
     for (double s : scale_)
-        put(out, float(s));
-    put(out, std::uint8_t(blinkVariants_.size()));
+        out.f32(float(s));
+    out.u8(std::uint8_t(blinkVariants_.size()));
     for (const gpu::CounterVec &b : blinkVariants_)
         for (std::int64_t v : b)
-            put(out, std::int32_t(v));
-    put(out, std::uint16_t(sigs_.size()));
+            out.i32(std::int32_t(v));
+    out.u16(std::uint16_t(sigs_.size()));
     for (const LabelSignature &sig : sigs_) {
-        put(out, std::uint8_t(sig.label.size()));
-        out.insert(out.end(), sig.label.begin(), sig.label.end());
+        out.u8(std::uint8_t(sig.label.size()));
+        out.raw(reinterpret_cast<const std::uint8_t *>(sig.label.data()),
+                sig.label.size());
         // Centroids fit comfortably in 32 bits per counter.
         for (std::int64_t v : sig.centroid)
-            put(out, std::int32_t(v));
+            out.i32(std::int32_t(v));
     }
-    return out;
+    return out.take();
 }
 
 std::size_t

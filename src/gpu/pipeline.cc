@@ -1,5 +1,8 @@
 #include "gpu/pipeline.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 
 #include "util/logging.h"
@@ -9,6 +12,17 @@ namespace gpusc::gpu {
 namespace {
 
 constexpr std::uint8_t kOccluded = 1u << 0;
+
+/** kOccluded in each byte of a 64-bit word: the LRZ pass tests and
+ *  marks 8 mask bytes per load (little-endian byte order). Its lane
+ *  sum counts occluded bytes, which needs kOccluded == 1. */
+constexpr std::uint64_t kOccludedLanes = kOccluded * 0x0101010101010101ull;
+static_assert(kOccluded == 1);
+static_assert(std::endian::native == std::endian::little);
+
+/** The mask is over-allocated by this much so an 8-byte load at the
+ *  last pixel stays inside the buffer. */
+constexpr std::size_t kMaskSlack = 7;
 
 } // namespace
 
@@ -25,8 +39,8 @@ Pipeline::render(const gfx::FrameScene &scene)
     const int dw = dmg.width();
     const int dh = dmg.height();
     const std::size_t npix = std::size_t(dw) * std::size_t(dh);
-    if (mask_.size() < npix)
-        mask_.resize(npix);
+    if (mask_.size() < npix + kMaskSlack)
+        mask_.resize(npix + kMaskSlack);
     std::memset(mask_.data(), 0, npix);
 
     auto &d = res.deltas;
@@ -82,18 +96,23 @@ Pipeline::render(const gfx::FrameScene &scene)
                         std::size_t(y - dmg.y0) * dw +
                         (block.x0 - dmg.x0);
                     const int w = block.width();
-                    if (it->opaque) {
-                        for (int x = 0; x < w; ++x) {
-                            if (row[x] & kOccluded) {
-                                ++occluded;
-                            } else {
-                                row[x] |= kOccluded;
-                            }
+                    // Eight pixels per step, branch-free: a per-pixel
+                    // branch made this loop's speed swing ~15 % with
+                    // where the linker placed it. Bytes past the
+                    // block are loaded but masked off and stored back
+                    // unchanged.
+                    for (int x = 0; x < w; x += 8) {
+                        const std::uint64_t lanes =
+                            kOccludedLanes >> (8 * (8 - std::min(8, w - x)));
+                        std::uint64_t word;
+                        std::memcpy(&word, row + x, sizeof word);
+                        // Sum of the 0/1 lane bytes lands in the top byte.
+                        occluded +=
+                            int(((word & lanes) * kOccludedLanes) >> 56);
+                        if (it->opaque) {
+                            word |= lanes;
+                            std::memcpy(row + x, &word, sizeof word);
                         }
-                    } else {
-                        for (int x = 0; x < w; ++x)
-                            if (row[x] & kOccluded)
-                                ++occluded;
                     }
                     total += w;
                 }

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 
+#include "simd/kernels_ref.h"
 #include "util/logging.h"
 
 namespace gpusc::ml {
@@ -45,12 +46,11 @@ NearestCentroid::match(std::span<const double> features) const
 {
     if (centroids_.empty())
         panic("NearestCentroid: match() before fit()");
-    const simd::Kernels &k = simd::kernels();
     Match best;
     if (features.size() == centroids_.dims()) {
         // Hot path: vector argmin over the packed panel (one sqrt at
         // the end; losers are abandoned via bound-pruned early exit).
-        const simd::Argmin a = k.argminL2(features.data(), panel_);
+        const simd::Argmin a = simd::argminL2(features.data(), panel_);
         best.label = labels_[a.index];
         best.distance = std::sqrt(a.sq);
         return best;
@@ -61,7 +61,7 @@ NearestCentroid::match(std::span<const double> features) const
         std::min(features.size(), centroids_.dims());
     double bestSq = std::numeric_limits<double>::infinity();
     for (std::size_t c = 0; c < centroids_.rows(); ++c) {
-        const double s = k.l2sqEarlyExitGe(
+        const double s = simd::ref::l2sqEarlyExitGe(
             features.data(), centroids_[c].data(), nd, bestSq);
         if (s < bestSq) {
             bestSq = s;
@@ -80,9 +80,7 @@ NearestCentroid::predict(std::span<const double> features) const
     // predict() needs no distance, so the sqrt is skipped; sqrt is
     // monotone, so ranking on squared distances picks the same winner.
     if (features.size() == centroids_.dims())
-        return labels_[simd::kernels()
-                           .argminL2(features.data(), panel_)
-                           .index];
+        return labels_[simd::argminL2(features.data(), panel_).index];
     return match(features).label;
 }
 
@@ -101,10 +99,9 @@ NearestCentroid::predictBatch(const FeatureMatrix &queries,
         Classifier::predictBatch(queries, out);
         return;
     }
-    const simd::Kernels &k = simd::kernels();
     for (std::size_t i = 0; i < queries.rows(); ++i)
         out[i] =
-            labels_[k.argminL2(queries[i].data(), panel_).index];
+            labels_[simd::argminL2(queries[i].data(), panel_).index];
 }
 
 void

@@ -1,35 +1,27 @@
 /**
  * @file
- * Portable vector-kernel layer for the classifier hot paths.
+ * Vector kernels for the classifier hot paths.
  *
- * Exposes exactly the primitives the classifiers spend their time in:
- * squared-L2 distance with partial-sum early exit, batched
- * distance-to-many-centroids (one query x K rows, and M x K tiles),
- * dot/sum-of-squares, and argmin with first-wins tie-break. Three
- * backends implement the table:
+ * The panel kernels below compute a query's squared-L2 distance to
+ * every row of a Panel (one query x K rows, and M x K tiles) and the
+ * nearest row with a first-wins tie-break. They vectorise *across
+ * rows* — one lane per centroid, dimensions accumulated in order,
+ * multiply and add kept as two rounded operations (no FMA
+ * contraction) — so each lane performs the identical IEEE operation
+ * sequence as the scalar reference loops in simd/kernels_ref.h, and
+ * every result is bit-identical to them, not merely close (pinned by
+ * tests/simd/kernel_conformance_test.cc).
  *
- *  - Scalar: the pinned reference. Its loops are, operation for
- *    operation, the PR-5 hot-path rewrites that
- *    tests/ml/knn_regression_test.cc bit-compares against the
- *    original classifier implementations.
- *  - Avx2 / Neon: vectorise *across rows* of a Panel — one lane per
- *    centroid, dimensions accumulated sequentially, multiply and add
- *    kept as two rounded operations (no FMA contraction). Each
- *    lane therefore performs the identical IEEE operation sequence
- *    as the scalar reference, so every backend's output is
- *    bit-identical, not merely close (pinned by
- *    tests/simd/kernel_conformance_test.cc).
+ * The kernel body is written once in GCC/Clang vector extensions and
+ * compiled twice on x86-64: for the baseline ISA (SSE2, two lanes per
+ * vector) and under target("avx2") (four lanes). The first call picks
+ * the AVX2 instantiation when the CPU supports it; every other target
+ * has the baseline one only.
  *
- * The per-pair kernels (l2sq / dot / sumSquares and the early-exit
- * variants) accumulate across *dimensions*, where any lane split
- * would reorder the floating-point sum; they stay scalar in every
- * backend by design. All the SIMD win lives in the Panel kernels.
- *
- * Backend selection: the build compiles whichever backends the
- * target architecture supports (see GPUSC_SIMD in CMake); at startup
- * the best runtime-supported backend is chosen (cpuid on x86), or
- * the build can pin one with -DGPUSC_SIMD=scalar|avx2|neon. Tests
- * swap backends with forceBackend() to cross-check outputs.
+ * The per-pair reductions (l2sq, dot, the early-exit variants)
+ * accumulate across *dimensions*, where any lane split would reorder
+ * the floating-point sum; callers use the scalar loops in
+ * kernels_ref.h for those directly.
  */
 
 #ifndef GPUSC_SIMD_KERNELS_H
@@ -54,78 +46,77 @@ struct Argmin
     static constexpr std::size_t npos = std::size_t(-1);
 };
 
-/** Dispatch table of the kernel layer. */
-struct Kernels
-{
-    /** Full squared L2 distance, dimension order. */
-    double (*l2sq)(const double *a, const double *b,
-                   std::size_t dims) = nullptr;
-    /**
-     * Squared L2 with partial-sum early exit: abandons the sum as
-     * soon as it reaches (>=) @p bound and returns the partial sum
-     * (which is then >= bound and only meaningful as "not a
-     * winner"). Completed sums are bit-exact.
-     */
-    double (*l2sqEarlyExitGe)(const double *a, const double *b,
-                              std::size_t dims, double bound) = nullptr;
-    /** Same, but only abandons when the sum strictly exceeds (>)
-     *  @p bound — the KNN k-buffer keeps equal-distance candidates. */
-    double (*l2sqEarlyExitGt)(const double *a, const double *b,
-                              std::size_t dims, double bound) = nullptr;
-    /** Weighted squared L2: sum of ((a[d]-b[d]) * w[d])^2. */
-    double (*wl2sq)(const double *a, const double *b, const double *w,
-                    std::size_t dims) = nullptr;
-    double (*dot)(const double *a, const double *b,
-                  std::size_t dims) = nullptr;
-    double (*sumSquares)(const double *a, std::size_t dims) = nullptr;
+// The entry points that pick the instantiation for this CPU. They
+// live in a nested namespace pulled in by a using-directive, so
+// simd::argminL2(...) finds them but argument-dependent lookup on
+// Panel does not: the unqualified l2sqToMany call inside
+// kernels_ref.h keeps meaning ref::l2sqToMany.
+namespace dispatch {
+/** out[k] = l2sq(query, panel row k) for every row. */
+void l2sqToMany(const double *query, const Panel &panel, double *out);
+/** Weighted variant: out[k] = wl2sq(query, row k, weights). */
+void wl2sqToMany(const double *query, const double *weights,
+                 const Panel &panel, double *out);
+/** Nearest row by squared L2; ties break to the lowest index
+ *  (strict-< winner scan), with bound-pruned early exit. */
+Argmin argminL2(const double *query, const Panel &panel);
+/** Weighted nearest row (the SignatureModel classify kernel). */
+Argmin argminWL2(const double *query, const double *weights,
+                 const Panel &panel);
+/**
+ * M queries x K rows tile: out[m * outStride + k] = l2sq of query m
+ * against row k. Queries are row-major with @p qStride doubles
+ * between rows.
+ */
+void l2sqTile(const double *queries, std::size_t m, std::size_t qStride,
+              const Panel &panel, double *out, std::size_t outStride);
+} // namespace dispatch
+using namespace dispatch;
 
-    /** out[k] = l2sq(query, panel row k) for every row. */
-    void (*l2sqToMany)(const double *query, const Panel &panel,
-                       double *out) = nullptr;
-    /** Weighted variant: out[k] = wl2sq(query, row k, weights). */
-    void (*wl2sqToMany)(const double *query, const double *weights,
-                        const Panel &panel, double *out) = nullptr;
-    /** Nearest row by squared L2; ties break to the lowest index
-     *  (strict-< winner scan), with bound-pruned early exit. */
-    Argmin (*argminL2)(const double *query,
-                       const Panel &panel) = nullptr;
-    /** Weighted nearest row (the SignatureModel classify kernel). */
-    Argmin (*argminWL2)(const double *query, const double *weights,
-                        const Panel &panel) = nullptr;
-    /**
-     * M queries x K rows tile: out[m * outStride + k] = l2sq of
-     * query m against row k. Queries are row-major with @p qStride
-     * doubles between rows.
-     */
-    void (*l2sqTile)(const double *queries, std::size_t m,
-                     std::size_t qStride, const Panel &panel,
-                     double *out, std::size_t outStride) = nullptr;
-    /** First index of the strict minimum of @p n values. */
-    std::size_t (*argmin)(const double *values,
-                          std::size_t n) = nullptr;
-};
+/** The baseline-ISA instantiation (what the free functions run on a
+ *  CPU without AVX2, and on every non-x86 target). */
+namespace baseline {
+void l2sqToMany(const double *query, const Panel &panel, double *out);
+void wl2sqToMany(const double *query, const double *weights,
+                 const Panel &panel, double *out);
+Argmin argminL2(const double *query, const Panel &panel);
+Argmin argminWL2(const double *query, const double *weights,
+                 const Panel &panel);
+void l2sqTile(const double *queries, std::size_t m, std::size_t qStride,
+              const Panel &panel, double *out, std::size_t outStride);
+} // namespace baseline
 
+#if defined(__x86_64__)
+/** The AVX2 instantiation. Only call it when activeBackend() is
+ *  Backend::Avx2: on any other CPU it faults. */
+namespace avx2 {
+[[gnu::target("avx2")]] void l2sqToMany(const double *query,
+                                        const Panel &panel, double *out);
+[[gnu::target("avx2")]] void wl2sqToMany(const double *query,
+                                         const double *weights,
+                                         const Panel &panel,
+                                         double *out);
+[[gnu::target("avx2")]] Argmin argminL2(const double *query,
+                                        const Panel &panel);
+[[gnu::target("avx2")]] Argmin argminWL2(const double *query,
+                                         const double *weights,
+                                         const Panel &panel);
+[[gnu::target("avx2")]] void l2sqTile(const double *queries,
+                                      std::size_t m, std::size_t qStride,
+                                      const Panel &panel, double *out,
+                                      std::size_t outStride);
+} // namespace avx2
+#endif
+
+/** Which instantiation the free functions run (a read-only report;
+ *  fixed for the life of the process). */
 enum class Backend
 {
-    Scalar,
+    Baseline,
     Avx2,
-    Neon,
 };
 
-/** The active dispatch table (startup-selected; see forceBackend). */
-const Kernels &kernels();
-
 Backend activeBackend();
-
-/** Compiled in *and* supported by the running CPU. */
-bool backendAvailable(Backend b);
-
-/**
- * Swap the active backend (conformance tests, benches). Not for use
- * while other threads are inside kernel calls. @return false (and
- * leaves the active backend unchanged) when @p b is unavailable.
- */
-bool forceBackend(Backend b);
 
 std::string backendName(Backend b);
 

@@ -5,10 +5,10 @@
  * The batched distance kernels vectorise *across rows* (one SIMD lane
  * per centroid / training point), never across dimensions: each
  * lane's partial sum then accumulates in exactly the scalar dimension
- * order, which is what keeps every backend bit-identical to the
+ * order, which is what keeps every instantiation bit-identical to the
  * scalar reference. That lane layout wants the data transposed:
  * column d of the panel holds dimension d of every row,
- * contiguously, so a backend loads kLanes rows' worth of one
+ * contiguously, so a kernel loads kLanes rows' worth of one
  * dimension with a single aligned vector load.
  *
  * Rows are padded up to a multiple of kPanelLanes with +infinity so
@@ -26,7 +26,8 @@
 
 namespace gpusc::simd {
 
-/** Lane padding granularity (doubles): covers AVX2 (4) and NEON (2). */
+/** Lane padding granularity (doubles): covers the 4-lane AVX2 and
+ *  2-lane baseline kernels. */
 inline constexpr std::size_t kPanelLanes = 4;
 
 /** K rows x dims, stored column-major with lane-padded columns. */

@@ -54,9 +54,15 @@ class ByteWriter
             s.size());
     }
 
+    /** Resize + memcpy rather than vector::insert: GCC 12's
+     *  -Wstringop-overflow misfires on the inlined insert at -O3. */
     void raw(const std::uint8_t *p, std::size_t n)
     {
-        buf_.insert(buf_.end(), p, p + n);
+        if (n == 0)
+            return;
+        const std::size_t at = buf_.size();
+        buf_.resize(at + n);
+        std::memcpy(buf_.data() + at, p, n);
     }
 
     const std::vector<std::uint8_t> &bytes() const { return buf_; }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "attack/model_store.h"
 
@@ -68,6 +70,56 @@ TEST(ModelStoreTest, SerializeRoundTrip)
     EXPECT_EQ(back.size(), 2u);
     ASSERT_NE(back.find("alpha"), nullptr);
     EXPECT_TRUE(*back.find("alpha") == *store.find("alpha"));
+}
+
+TEST(ModelStoreTest, SerialisedBytesArePinned)
+{
+    // Every field of the wire format set to a distinct value; the
+    // expected bytes were produced by the serialiser before it moved
+    // onto ByteWriter, so any drift in the format shows up here.
+    SignatureModel m;
+    m.setModelKey("pin");
+    m.setThreshold(2.5);
+    m.setEchoCutoff(900.0);
+    gpu::CounterVec base{}, inc{};
+    std::array<double, gpu::kNumSelectedCounters> scale{};
+    for (std::size_t d = 0; d < gpu::kNumSelectedCounters; ++d) {
+        base[d] = std::int64_t(100 + d);
+        inc[d] = -std::int64_t(d);
+        scale[d] = 0.001 * double(d + 1);
+    }
+    m.setEchoLine(base, inc, 12.25);
+    m.setScale(scale);
+    m.setBlinkVariants({base});
+    LabelSignature a;
+    a.label = "a";
+    a.centroid = base;
+    m.addSignature(a);
+    LabelSignature shift;
+    shift.label = "SHIFT";
+    shift.centroid = inc;
+    m.addSignature(shift);
+
+    ModelStore store;
+    store.put(std::move(m));
+    std::string hex;
+    for (const std::uint8_t b : store.serialize()) {
+        char buf[3];
+        std::snprintf(buf, sizeof buf, "%02x", b);
+        hex += buf;
+    }
+    EXPECT_EQ(hex,
+              "010000002801000047505347030070696e0000204000006144000044"
+              "416400000065000000660000006700000068000000690000006a0000"
+              "006b0000006c0000006d0000006e00000000000000fffffffffeffff"
+              "fffdfffffffcfffffffbfffffffafffffff9fffffff8fffffff7ffff"
+              "fff6ffffff6f12833a6f12033ba69b443b6f12833b0ad7a33ba69bc4"
+              "3b4260e53b6f12033cbc74133c0ad7233c5839343c01640000006500"
+              "0000660000006700000068000000690000006a0000006b0000006c00"
+              "00006d0000006e000000020001616400000065000000660000006700"
+              "000068000000690000006a0000006b0000006c0000006d0000006e00"
+              "000005534849465400000000fffffffffefffffffdfffffffcffffff"
+              "fbfffffffafffffff9fffffff8fffffff7fffffff6ffffff");
 }
 
 TEST(ModelStoreTest, FileRoundTrip)

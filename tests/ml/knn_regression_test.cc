@@ -27,6 +27,7 @@
 #include "ml/nearest_centroid.h"
 #include "ml/random_forest.h"
 #include "simd/kernels.h"
+#include "simd/kernels_ref.h"
 #include "util/rng.h"
 
 namespace gpusc::ml {
@@ -282,36 +283,6 @@ TEST(SignatureRegressionTest, ClassifyMatchesNaiveScan)
     }
 }
 
-/** Pin one SIMD backend for a scope; restores the previous on exit. */
-class BackendGuard
-{
-  public:
-    explicit BackendGuard(simd::Backend b)
-        : prev_(simd::activeBackend()), ok_(simd::forceBackend(b))
-    {
-    }
-    ~BackendGuard() { simd::forceBackend(prev_); }
-    BackendGuard(const BackendGuard &) = delete;
-    BackendGuard &operator=(const BackendGuard &) = delete;
-    bool ok() const { return ok_; }
-
-  private:
-    simd::Backend prev_;
-    bool ok_;
-};
-
-std::vector<simd::Backend>
-availableBackends()
-{
-    std::vector<simd::Backend> v;
-    for (const simd::Backend b :
-         {simd::Backend::Scalar, simd::Backend::Avx2,
-          simd::Backend::Neon})
-        if (simd::backendAvailable(b))
-            v.push_back(b);
-    return v;
-}
-
 /** A seeded SignatureModel with blink variants (robust path live). */
 attack::SignatureModel
 randomSignatureModel(Rng &rng, int classes)
@@ -405,6 +376,26 @@ TEST(BatchConformanceTest, SignatureClassifyBatchMatchesSingle)
     model.classifyRobustBatch({}, {});
 }
 
+/** The nearest-centroid scan as a plain loop over the scalar
+ *  reference kernel: strict <, so the first of equal rows wins. */
+NearestCentroid::Match
+refCentroidMatch(const NearestCentroid &nc, const FeatureVec &q)
+{
+    double bestSq = std::numeric_limits<double>::infinity();
+    NearestCentroid::Match best;
+    for (std::size_t c = 0; c < nc.centroids().rows(); ++c) {
+        const double s = simd::ref::l2sq(q.data(),
+                                         nc.centroids()[c].data(),
+                                         q.size());
+        if (s < bestSq) {
+            bestSq = s;
+            best.label = nc.labels()[c];
+        }
+    }
+    best.distance = std::sqrt(bestSq);
+    return best;
+}
+
 TEST(BackendConformanceTest, CentroidMatchesIdenticalAcrossBackends)
 {
     Rng rng(90218);
@@ -415,31 +406,16 @@ TEST(BackendConformanceTest, CentroidMatchesIdenticalAcrossBackends)
             randomDataset(rng, 30, dims, int(dims) + 2);
         NearestCentroid nc;
         nc.fit(data);
-        std::vector<FeatureVec> queries;
-        for (int t = 0; t < 40; ++t)
-            queries.push_back(randomQuery(rng, dims, false));
-
-        // Scalar is the pinned bit-exactness anchor.
-        std::vector<NearestCentroid::Match> want;
-        {
-            const BackendGuard guard(simd::Backend::Scalar);
-            ASSERT_TRUE(guard.ok());
-            for (const FeatureVec &q : queries)
-                want.push_back(nc.match(q));
-        }
-        for (const simd::Backend b : availableBackends()) {
-            const BackendGuard guard(b);
-            ASSERT_TRUE(guard.ok());
-            for (std::size_t i = 0; i < queries.size(); ++i) {
-                const NearestCentroid::Match got =
-                    nc.match(queries[i]);
-                EXPECT_EQ(got.label, want[i].label)
-                    << simd::backendName(b) << " dims=" << dims
-                    << " query " << i;
-                EXPECT_EQ(got.distance, want[i].distance)
-                    << simd::backendName(b) << " dims=" << dims
-                    << " query " << i;
-            }
+        for (int t = 0; t < 40; ++t) {
+            const FeatureVec q = randomQuery(rng, dims, false);
+            const NearestCentroid::Match want = refCentroidMatch(nc, q);
+            const NearestCentroid::Match got = nc.match(q);
+            EXPECT_EQ(got.label, want.label)
+                << simd::backendName(simd::activeBackend())
+                << " dims=" << dims << " query " << t;
+            EXPECT_EQ(got.distance, want.distance)
+                << simd::backendName(simd::activeBackend())
+                << " dims=" << dims << " query " << t;
         }
     }
 }
@@ -457,26 +433,34 @@ TEST(BackendConformanceTest, SignatureClassifyIdenticalAcrossBackends)
             for (std::int64_t &v : d)
                 v = rng.uniformInt(0, 400);
 
-        std::vector<attack::SignatureModel::Match> want(deltas.size());
-        {
-            const BackendGuard guard(simd::Backend::Scalar);
-            ASSERT_TRUE(guard.ok());
-            model.classifyBatch(deltas, want);
-        }
-        for (const simd::Backend b : availableBackends()) {
-            const BackendGuard guard(b);
-            ASSERT_TRUE(guard.ok());
-            std::vector<attack::SignatureModel::Match> got(
-                deltas.size());
-            model.classifyBatch(deltas, got);
-            for (std::size_t i = 0; i < deltas.size(); ++i) {
-                EXPECT_EQ(got[i].sig, want[i].sig)
-                    << simd::backendName(b) << " classes=" << classes
-                    << " query " << i;
-                EXPECT_EQ(got[i].distance, want[i].distance)
-                    << simd::backendName(b) << " classes=" << classes
-                    << " query " << i;
+        std::vector<attack::SignatureModel::Match> got(deltas.size());
+        model.classifyBatch(deltas, got);
+        for (std::size_t i = 0; i < deltas.size(); ++i) {
+            // The weighted scan as a plain loop over the scalar
+            // reference kernel on the widened counters.
+            std::array<double, gpu::kNumSelectedCounters> q{};
+            for (std::size_t d = 0; d < q.size(); ++d)
+                q[d] = double(deltas[i][d]);
+            const attack::LabelSignature *wantSig = nullptr;
+            double bestSq = std::numeric_limits<double>::infinity();
+            for (const attack::LabelSignature &sig :
+                 model.signatures()) {
+                std::array<double, gpu::kNumSelectedCounters> c{};
+                for (std::size_t d = 0; d < c.size(); ++d)
+                    c[d] = double(sig.centroid[d]);
+                const double s = simd::ref::wl2sq(
+                    q.data(), c.data(), model.scale().data(), q.size());
+                if (s < bestSq) {
+                    bestSq = s;
+                    wantSig = &sig;
+                }
             }
+            EXPECT_EQ(got[i].sig, wantSig)
+                << simd::backendName(simd::activeBackend())
+                << " classes=" << classes << " query " << i;
+            EXPECT_EQ(got[i].distance, std::sqrt(bestSq))
+                << simd::backendName(simd::activeBackend())
+                << " classes=" << classes << " query " << i;
         }
     }
 }

@@ -1,14 +1,15 @@
 /**
  * @file
- * Backend conformance for the SIMD kernel layer: every compiled-in
- * backend must reproduce the pinned scalar reference kernels
+ * Conformance of the vector kernels: each instantiation of the panel
+ * kernels (baseline ISA everywhere, plus AVX2 on x86-64 CPUs that
+ * have it) must reproduce the scalar reference loops
  * (simd/kernels_ref.h) bit for bit — same sums, same argmin winner,
  * same tie-breaks — across seeded random panels covering the shapes
  * that stress lane handling: odd dims, dims below the vector width,
  * empty panels, single rows, padded tail lanes, exact ties, and NaN
  * queries. "Close" is not good enough: the classifiers' replay==live
  * and worker-count-independence guarantees assume classify results
- * do not depend on which backend ran them.
+ * do not depend on which CPU ran them.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "simd/kernels.h"
@@ -25,32 +27,32 @@
 namespace gpusc::simd {
 namespace {
 
-/** Pin one backend for a scope; restores the previous on exit. */
-class BackendGuard
+/** One compiled instantiation of the panel kernels. */
+struct Instantiation
 {
-  public:
-    explicit BackendGuard(Backend b)
-        : prev_(activeBackend()), ok_(forceBackend(b))
-    {
-    }
-    ~BackendGuard() { forceBackend(prev_); }
-    BackendGuard(const BackendGuard &) = delete;
-    BackendGuard &operator=(const BackendGuard &) = delete;
-    bool ok() const { return ok_; }
-
-  private:
-    Backend prev_;
-    bool ok_;
+    std::string name;
+    decltype(&baseline::l2sqToMany) l2sqToMany;
+    decltype(&baseline::wl2sqToMany) wl2sqToMany;
+    decltype(&baseline::argminL2) argminL2;
+    decltype(&baseline::argminWL2) argminWL2;
+    decltype(&baseline::l2sqTile) l2sqTile;
 };
 
-std::vector<Backend>
-availableBackends()
+/** Every instantiation this CPU can run (AVX2 is skipped where the
+ *  CPU lacks it). */
+std::vector<Instantiation>
+instantiations()
 {
-    std::vector<Backend> v;
-    for (const Backend b :
-         {Backend::Scalar, Backend::Avx2, Backend::Neon})
-        if (backendAvailable(b))
-            v.push_back(b);
+    std::vector<Instantiation> v = {
+        {"baseline", &baseline::l2sqToMany, &baseline::wl2sqToMany,
+         &baseline::argminL2, &baseline::argminWL2,
+         &baseline::l2sqTile}};
+#if defined(__x86_64__)
+    if (activeBackend() == Backend::Avx2)
+        v.push_back({"avx2", &avx2::l2sqToMany, &avx2::wl2sqToMany,
+                     &avx2::argminL2, &avx2::argminWL2,
+                     &avx2::l2sqTile});
+#endif
     return v;
 }
 
@@ -74,6 +76,18 @@ sameBits(double a, double b)
 constexpr std::size_t kRowCounts[] = {0, 1, 2, 3, 4, 5, 8, 13};
 constexpr std::size_t kDimCounts[] = {1, 2, 3, 4, 7, 8, 11, 16, 17};
 
+TEST(KernelConformanceTest, ActiveBackendMatchesTheCpu)
+{
+#if defined(__x86_64__)
+    EXPECT_EQ(activeBackend() == Backend::Avx2,
+              __builtin_cpu_supports("avx2") != 0);
+#else
+    EXPECT_EQ(activeBackend(), Backend::Baseline);
+#endif
+    EXPECT_EQ(backendName(Backend::Avx2), "avx2");
+    EXPECT_EQ(backendName(Backend::Baseline), "baseline");
+}
+
 TEST(KernelConformanceTest, PanelKernelsMatchReferenceBitExact)
 {
     Rng rng(777001);
@@ -92,18 +106,15 @@ TEST(KernelConformanceTest, PanelKernelsMatchReferenceBitExact)
                                    block.begin() + std::ptrdiff_t(dims)});
             const std::vector<double> weights = randomBlock(rng, dims);
 
-            for (const Backend b : availableBackends()) {
-                const BackendGuard guard(b);
-                ASSERT_TRUE(guard.ok());
-                const Kernels &k = kernels();
+            for (const Instantiation &k : instantiations()) {
                 for (const std::vector<double> &q : queries) {
                     std::vector<double> got(rows), want(rows);
                     k.l2sqToMany(q.data(), panel, got.data());
                     ref::l2sqToMany(q.data(), panel, want.data());
                     for (std::size_t r = 0; r < rows; ++r)
                         EXPECT_TRUE(sameBits(got[r], want[r]))
-                            << backendName(b) << " l2sqToMany rows="
-                            << rows << " dims=" << dims << " r=" << r;
+                            << k.name << " l2sqToMany rows=" << rows
+                            << " dims=" << dims << " r=" << r;
 
                     k.wl2sqToMany(q.data(), weights.data(), panel,
                                   got.data());
@@ -111,16 +122,16 @@ TEST(KernelConformanceTest, PanelKernelsMatchReferenceBitExact)
                                      want.data());
                     for (std::size_t r = 0; r < rows; ++r)
                         EXPECT_TRUE(sameBits(got[r], want[r]))
-                            << backendName(b) << " wl2sqToMany rows="
-                            << rows << " dims=" << dims << " r=" << r;
+                            << k.name << " wl2sqToMany rows=" << rows
+                            << " dims=" << dims << " r=" << r;
 
                     const Argmin ga = k.argminL2(q.data(), panel);
                     const Argmin wa = ref::argminL2(q.data(), panel);
                     EXPECT_EQ(ga.index, wa.index)
-                        << backendName(b) << " argminL2 rows=" << rows
+                        << k.name << " argminL2 rows=" << rows
                         << " dims=" << dims;
                     EXPECT_TRUE(sameBits(ga.sq, wa.sq))
-                        << backendName(b) << " argminL2 rows=" << rows
+                        << k.name << " argminL2 rows=" << rows
                         << " dims=" << dims;
 
                     const Argmin gw =
@@ -128,10 +139,10 @@ TEST(KernelConformanceTest, PanelKernelsMatchReferenceBitExact)
                     const Argmin ww =
                         ref::argminWL2(q.data(), weights.data(), panel);
                     EXPECT_EQ(gw.index, ww.index)
-                        << backendName(b) << " argminWL2 rows=" << rows
+                        << k.name << " argminWL2 rows=" << rows
                         << " dims=" << dims;
                     EXPECT_TRUE(sameBits(gw.sq, ww.sq))
-                        << backendName(b) << " argminWL2 rows=" << rows
+                        << k.name << " argminWL2 rows=" << rows
                         << " dims=" << dims;
                 }
 
@@ -150,8 +161,8 @@ TEST(KernelConformanceTest, PanelKernelsMatchReferenceBitExact)
                                   wantTile.data(), rows);
                     for (std::size_t i = 0; i < m * rows; ++i)
                         EXPECT_TRUE(sameBits(gotTile[i], wantTile[i]))
-                            << backendName(b) << " l2sqTile rows="
-                            << rows << " dims=" << dims << " i=" << i;
+                            << k.name << " l2sqTile rows=" << rows
+                            << " dims=" << dims << " i=" << i;
                 }
             }
         }
@@ -160,56 +171,59 @@ TEST(KernelConformanceTest, PanelKernelsMatchReferenceBitExact)
 
 TEST(KernelConformanceTest, PairKernelsMatchReferenceBitExact)
 {
+    // The per-pair reductions are the reference loops themselves;
+    // pin that they agree with the panel kernels on a one-row panel
+    // and that an early exit never alters a completed sum.
     Rng rng(777002);
     for (const std::size_t dims : kDimCounts) {
         const std::vector<double> a = randomBlock(rng, dims);
         const std::vector<double> b2 = randomBlock(rng, dims);
         const std::vector<double> w = randomBlock(rng, dims);
         const double full = ref::l2sq(a.data(), b2.data(), dims);
-        // Bounds: never-exits, exact-sum (Ge exits, Gt completes),
-        // and always-exits-immediately.
-        const double bounds[] = {
-            std::numeric_limits<double>::infinity(), full, 0.0};
+        const double weighted =
+            ref::wl2sq(a.data(), b2.data(), w.data(), dims);
+        Panel one;
+        one.packContiguous(b2.data(), 1, dims, dims);
 
-        for (const Backend b : availableBackends()) {
-            const BackendGuard guard(b);
-            ASSERT_TRUE(guard.ok());
-            const Kernels &k = kernels();
-            EXPECT_TRUE(sameBits(k.l2sq(a.data(), b2.data(), dims),
-                                 full))
-                << backendName(b) << " dims=" << dims;
-            EXPECT_TRUE(sameBits(
-                k.wl2sq(a.data(), b2.data(), w.data(), dims),
-                ref::wl2sq(a.data(), b2.data(), w.data(), dims)))
-                << backendName(b) << " dims=" << dims;
-            EXPECT_TRUE(sameBits(k.dot(a.data(), b2.data(), dims),
-                                 ref::dot(a.data(), b2.data(), dims)))
-                << backendName(b) << " dims=" << dims;
-            EXPECT_TRUE(sameBits(k.sumSquares(a.data(), dims),
-                                 ref::sumSquares(a.data(), dims)))
-                << backendName(b) << " dims=" << dims;
-            for (const double bound : bounds) {
-                EXPECT_TRUE(sameBits(
-                    k.l2sqEarlyExitGe(a.data(), b2.data(), dims, bound),
-                    ref::l2sqEarlyExitGe(a.data(), b2.data(), dims,
-                                         bound)))
-                    << backendName(b) << " dims=" << dims
-                    << " bound=" << bound;
-                EXPECT_TRUE(sameBits(
-                    k.l2sqEarlyExitGt(a.data(), b2.data(), dims, bound),
-                    ref::l2sqEarlyExitGt(a.data(), b2.data(), dims,
-                                         bound)))
-                    << backendName(b) << " dims=" << dims
-                    << " bound=" << bound;
-            }
+        for (const Instantiation &k : instantiations()) {
+            double got = 0.0;
+            k.l2sqToMany(a.data(), one, &got);
+            EXPECT_TRUE(sameBits(got, full))
+                << k.name << " dims=" << dims;
+            k.wl2sqToMany(a.data(), w.data(), one, &got);
+            EXPECT_TRUE(sameBits(got, weighted))
+                << k.name << " dims=" << dims;
         }
+
+        // Bounds: never-exits, exact-sum (Ge may exit on the last
+        // dimension, Gt completes), and always-exits-immediately.
+        const double inf = std::numeric_limits<double>::infinity();
+        EXPECT_TRUE(sameBits(
+            ref::l2sqEarlyExitGe(a.data(), b2.data(), dims, inf), full))
+            << "dims=" << dims;
+        EXPECT_TRUE(sameBits(
+            ref::l2sqEarlyExitGt(a.data(), b2.data(), dims, inf), full))
+            << "dims=" << dims;
+        EXPECT_TRUE(sameBits(
+            ref::l2sqEarlyExitGe(a.data(), b2.data(), dims, full), full))
+            << "dims=" << dims;
+        EXPECT_TRUE(sameBits(
+            ref::l2sqEarlyExitGt(a.data(), b2.data(), dims, full), full))
+            << "dims=" << dims;
+        const double first = (a[0] - b2[0]) * (a[0] - b2[0]);
+        EXPECT_TRUE(sameBits(
+            ref::l2sqEarlyExitGe(a.data(), b2.data(), dims, 0.0), first))
+            << "dims=" << dims;
+        EXPECT_TRUE(sameBits(ref::sumSquares(a.data(), dims),
+                             ref::dot(a.data(), a.data(), dims)))
+            << "dims=" << dims;
     }
 }
 
 TEST(KernelConformanceTest, ArgminTiesBreakToLowestIndex)
 {
     // Duplicate rows (including across lane-group boundaries) must
-    // resolve to the first occurrence in every backend.
+    // resolve to the first occurrence in every instantiation.
     const std::size_t dims = 3;
     std::vector<double> block;
     const std::vector<double> rowA = {1.0, 2.0, 3.0};
@@ -221,42 +235,31 @@ TEST(KernelConformanceTest, ArgminTiesBreakToLowestIndex)
     Panel panel;
     panel.packContiguous(block.data(), 9, dims, dims);
 
-    for (const Backend b : availableBackends()) {
-        const BackendGuard guard(b);
-        ASSERT_TRUE(guard.ok());
-        const Argmin got = kernels().argminL2(rowA.data(), panel);
-        EXPECT_EQ(got.index, 1u) << backendName(b);
-        EXPECT_EQ(got.sq, 0.0) << backendName(b);
+    for (const Instantiation &k : instantiations()) {
+        const Argmin got = k.argminL2(rowA.data(), panel);
+        EXPECT_EQ(got.index, 1u) << k.name;
+        EXPECT_EQ(got.sq, 0.0) << k.name;
     }
 
     // Flat-array argmin: first strict minimum wins.
     const std::vector<double> vals = {3.0, 1.0, 1.0, 2.0};
-    for (const Backend b : availableBackends()) {
-        const BackendGuard guard(b);
-        ASSERT_TRUE(guard.ok());
-        EXPECT_EQ(kernels().argmin(vals.data(), vals.size()), 1u)
-            << backendName(b);
-        EXPECT_EQ(kernels().argmin(vals.data(), 0), Argmin::npos)
-            << backendName(b);
-    }
+    EXPECT_EQ(ref::argmin(vals.data(), vals.size()), 1u);
+    EXPECT_EQ(ref::argmin(vals.data(), 0), Argmin::npos);
 }
 
 TEST(KernelConformanceTest, EmptyPanelAndNanQueries)
 {
     Rng rng(777003);
     const Panel empty;
-    const std::vector<double> w = {1.0, 1.0, 1.0};
-    for (const Backend b : availableBackends()) {
-        const BackendGuard guard(b);
-        ASSERT_TRUE(guard.ok());
+    for (const Instantiation &k : instantiations()) {
         const double q[3] = {1.0, 2.0, 3.0};
-        const Argmin a = kernels().argminL2(q, empty);
-        EXPECT_EQ(a.index, Argmin::npos) << backendName(b);
-        EXPECT_TRUE(std::isinf(a.sq)) << backendName(b);
+        const Argmin a = k.argminL2(q, empty);
+        EXPECT_EQ(a.index, Argmin::npos) << k.name;
+        EXPECT_TRUE(std::isinf(a.sq)) << k.name;
     }
 
     // NaN queries: no row can win (every comparison is false) — and
-    // every backend must agree on that.
+    // every instantiation must agree on that.
     const std::size_t dims = 5;
     const std::vector<double> block = randomBlock(rng, 7 * dims);
     Panel panel;
@@ -264,31 +267,11 @@ TEST(KernelConformanceTest, EmptyPanelAndNanQueries)
     std::vector<double> nanQuery(dims, 0.5);
     nanQuery[2] = std::numeric_limits<double>::quiet_NaN();
     const Argmin want = ref::argminL2(nanQuery.data(), panel);
-    for (const Backend b : availableBackends()) {
-        const BackendGuard guard(b);
-        ASSERT_TRUE(guard.ok());
-        const Argmin got = kernels().argminL2(nanQuery.data(), panel);
-        EXPECT_EQ(got.index, want.index) << backendName(b);
-        EXPECT_TRUE(sameBits(got.sq, want.sq)) << backendName(b);
+    for (const Instantiation &k : instantiations()) {
+        const Argmin got = k.argminL2(nanQuery.data(), panel);
+        EXPECT_EQ(got.index, want.index) << k.name;
+        EXPECT_TRUE(sameBits(got.sq, want.sq)) << k.name;
     }
-}
-
-TEST(KernelConformanceTest, ScalarBackendIsTheReferenceTable)
-{
-    // The scalar backend must *be* the pinned reference, not merely
-    // agree with it — guards against someone "optimising" the anchor.
-    const BackendGuard guard(Backend::Scalar);
-    ASSERT_TRUE(guard.ok());
-    const Kernels &k = kernels();
-    EXPECT_EQ(k.l2sq, &ref::l2sq);
-    EXPECT_EQ(k.l2sqEarlyExitGe, &ref::l2sqEarlyExitGe);
-    EXPECT_EQ(k.l2sqEarlyExitGt, &ref::l2sqEarlyExitGt);
-    EXPECT_EQ(k.wl2sq, &ref::wl2sq);
-    EXPECT_EQ(k.dot, &ref::dot);
-    EXPECT_EQ(k.sumSquares, &ref::sumSquares);
-    EXPECT_EQ(k.argminL2, &ref::argminL2);
-    EXPECT_EQ(k.argminWL2, &ref::argminWL2);
-    EXPECT_EQ(k.argmin, &ref::argmin);
 }
 
 } // namespace
