@@ -32,8 +32,8 @@ WindowManager::start()
     eq_.scheduleAfter(vsyncPeriod(), [this] { onVsync(); });
 }
 
-void
-WindowManager::renderTransitionFrame()
+gfx::FrameScene
+WindowManager::transitionScene(int phase) const
 {
     // The app-overview animation redraws (almost) the whole screen
     // with scaling window thumbnails; content varies per phase so the
@@ -41,20 +41,26 @@ WindowManager::renderTransitionFrame()
     gfx::FrameScene scene;
     scene.damage = gfx::Rect{0, 0, display_.width, display_.height};
     scene.add(scene.damage, true, gfx::PrimTag::Animation);
-    const int inset = 40 + 12 * (transitionPhase_ % 8);
+    const int inset = 40 + 12 * (phase % 8);
     const gfx::Rect card = scene.damage.inset(inset);
     scene.add(card, true, gfx::PrimTag::Animation);
     scene.add(card.inset(display_.dp(8)), false, gfx::PrimTag::Animation);
     // A strip of app thumbnails sliding across.
     const int thumbW = display_.width / 4;
     for (int i = 0; i < 3; ++i) {
-        const int x = (transitionPhase_ * 37 + i * (thumbW + 20)) %
+        const int x = (phase * 37 + i * (thumbW + 20)) %
                       (display_.width + thumbW) - thumbW / 2;
         scene.add(gfx::Rect::ofSize(x, display_.height / 3, thumbW,
                                     display_.height / 3),
                   true, gfx::PrimTag::Animation);
     }
-    engine_.submit(scene);
+    return scene;
+}
+
+void
+WindowManager::renderTransitionFrame()
+{
+    engine_.submit(transitionScene(transitionPhase_));
     ++transitionPhase_;
     --transitionFramesLeft_;
 }

@@ -18,6 +18,7 @@
 
 #include "android/display.h"
 #include "android/surface.h"
+#include "gfx/scene.h"
 #include "gpu/render_engine.h"
 #include "util/event_queue.h"
 
@@ -45,6 +46,9 @@ class WindowManager
      * full-area redraws of animated content, one per vsync.
      */
     void playTransition(int frames);
+
+    /** The full-screen frame a transition renders at @p phase. */
+    gfx::FrameScene transitionScene(int phase) const;
 
     /** True while a transition animation is still rendering. */
     bool transitionActive() const { return transitionFramesLeft_ > 0; }

@@ -24,11 +24,10 @@ struct GpuModel
     std::string name;         ///< e.g. "Adreno 650"
     int generation = 0;       ///< e.g. 650
 
-    // Tile geometry. LRZ operates on 8x8 blocks and the rasteriser on
-    // 8x4 blocks on all supported generations (the counter names
-    // encode this); the supertile (bin) size grows with generation.
-    int lrzTileW = 8;
-    int lrzTileH = 8;
+    // Tile geometry. The rasteriser works on 8x4 blocks on all
+    // supported generations (the counter names encode this, as they
+    // do LRZ's fixed 8x8 blocks, see pipeline.cc); the supertile
+    // (bin) size grows with generation.
     int rasTileW = 8;
     int rasTileH = 4;
     int superTileW = 32;

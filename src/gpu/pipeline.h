@@ -11,10 +11,10 @@
  *    counts its touched 8x4 tiles, fully covered 8x4 tiles, touched
  *    supertiles and active cycles regardless of occlusion.
  *  - LRZ: primitives are tested front-to-back against an opaque
- *    coverage mask; only pixels not hidden by opaque geometry above
- *    survive, producing the occlusion-sensitive counters the attack
- *    keys on (visible prims / visible pixels / full & partial 8x8
- *    tiles of the rendered output).
+ *    coverage mask, one 64-bit word per 8x8 block; only pixels not
+ *    hidden by opaque geometry above survive, producing the
+ *    occlusion-sensitive counters the attack keys on (visible prims /
+ *    visible pixels / full & partial 8x8 tiles of the rendered output).
  *
  * This is where GPU *overdraw* (paper §2.1) turns into counter values.
  */
@@ -53,10 +53,10 @@ class Pipeline
 
   private:
     const GpuModel &model_;
-    // Scratch per-pixel masks over the damage box, reused across
-    // frames. Bit 0: covered by opaque geometry above (occluder);
-    // bit 1: drawn by any visible fragment.
-    std::vector<std::uint8_t> mask_;
+    // Scratch LRZ occlusion words over the damage box, reused across
+    // frames: one per 8x8 block, row-major; a set bit is a pixel
+    // covered by opaque geometry above.
+    std::vector<std::uint64_t> blocks_;
 };
 
 } // namespace gpusc::gpu

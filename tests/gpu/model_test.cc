@@ -28,11 +28,10 @@ TEST(GpuModelTest, GenerationsDiffer)
 
 TEST(GpuModelTest, LrzAndRasTilesMatchCounterNames)
 {
-    // The counter names encode 8x8 (LRZ) and 8x4 (RAS) tiles.
+    // The counter names encode 8x8 (LRZ, fixed in the pipeline) and
+    // 8x4 (RAS) tiles.
     for (int gen : supportedAdrenoGenerations()) {
         const GpuModel &m = adrenoModel(gen);
-        EXPECT_EQ(m.lrzTileW, 8);
-        EXPECT_EQ(m.lrzTileH, 8);
         EXPECT_EQ(m.rasTileW, 8);
         EXPECT_EQ(m.rasTileH, 4);
     }
