@@ -1,6 +1,7 @@
 #include "android/keyboard.h"
 
 #include <cctype>
+#include <limits>
 #include <map>
 
 #include "gfx/font.h"
@@ -78,6 +79,16 @@ KeyboardLayout::KeyboardLayout(KeyboardSpec spec, DisplayConfig display)
     bounds_ = gfx::Rect{0, display_.height - h, display_.width,
                         display_.height};
     layoutPages();
+    // Record each page's base unclipped (a damage covering every
+    // coordinate); buildBase clips the recording per frame.
+    constexpr int lo = std::numeric_limits<int>::min();
+    constexpr int hi = std::numeric_limits<int>::max();
+    for (KbPage page : {KbPage::Lower, KbPage::Upper, KbPage::Symbols}) {
+        gfx::FrameScene all;
+        all.damage = gfx::Rect{lo, lo, hi, hi};
+        drawBase(all, page);
+        basePrims_[std::size_t(page)] = std::move(all.prims);
+    }
 }
 
 namespace {
@@ -322,6 +333,12 @@ KeyboardLayout::buildKeyIcon(gfx::FrameScene &scene, const Key &key) const
 
 void
 KeyboardLayout::buildBase(gfx::FrameScene &scene, KbPage page) const
+{
+    scene.append(basePrims_[std::size_t(page)]);
+}
+
+void
+KeyboardLayout::drawBase(gfx::FrameScene &scene, KbPage page) const
 {
     // Suggestion strip above the key rows (part of the IME window).
     // Top-row popups overlap and occlude its content, which is what

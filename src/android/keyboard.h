@@ -125,7 +125,12 @@ class KeyboardLayout
      */
     gfx::Rect popupMaxRect(const Key &key) const;
 
-    /** Draw the keyboard base (background, keycaps, labels). */
+    /**
+     * Draw the keyboard base (suggestion strip, background, keycaps,
+     * labels). A page's base never changes, so its prims are drawn
+     * once at construction; this appends them clipped to the scene's
+     * damage.
+     */
     void buildBase(gfx::FrameScene &scene, KbPage page) const;
 
     /** Draw the popup for @p key at animation scale @p scale. */
@@ -136,11 +141,15 @@ class KeyboardLayout
     gfx::Rect popupRect(const Key &key, double scale) const;
     void buildKeyIcon(gfx::FrameScene &scene, const Key &key) const;
     void layoutPages();
+    /** Draw @p page's base into @p scene (construction only). */
+    void drawBase(gfx::FrameScene &scene, KbPage page) const;
 
     KeyboardSpec spec_;
     DisplayConfig display_;
     gfx::Rect bounds_;
     std::vector<Key> pages_[3];
+    /** Unclipped base prims of each page, back to front. */
+    std::vector<gfx::Prim> basePrims_[3];
 };
 
 } // namespace gpusc::android

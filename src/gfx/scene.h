@@ -13,6 +13,7 @@
 #define GPUSC_GFX_SCENE_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,18 @@ struct FrameScene
         Rect clipped = r.intersect(damage);
         if (!clipped.empty())
             prims.push_back(Prim{clipped, opaque, tag});
+    }
+
+    /** add() each of @p src, in order (the same clip, spelled out
+     *  so the loop stays inline). */
+    void
+    append(std::span<const Prim> src)
+    {
+        for (const Prim &p : src) {
+            const Rect clipped = p.rect.intersect(damage);
+            if (!clipped.empty())
+                prims.push_back(Prim{clipped, p.opaque, p.tag});
+        }
     }
 
     /**

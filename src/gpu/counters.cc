@@ -8,28 +8,41 @@ namespace gpusc::gpu {
 
 namespace {
 
-struct CounterDesc
+// The spans tile the dense index, and every selected counter lies
+// inside its group's implemented range (the table round-trips).
+constexpr bool
+countableTableConsistent()
 {
-    CounterId id;
-    std::string name;
-};
+    std::uint32_t next = 0;
+    for (const CountableSpan &s : kCountableSpans) {
+        if (s.base != next)
+            return false;
+        next += s.countables;
+    }
+    for (std::size_t i = 0; i < kNumSelectedCounters; ++i)
+        if (resolveCountable(kSelectedCounterIds[i]).selected !=
+            SelectedCounter(i))
+            return false;
+    return true;
+}
+static_assert(countableTableConsistent());
+static_assert(kNumImplementedCountables < Countable::kNotImplemented);
 
-const std::array<CounterDesc, kNumSelectedCounters> &
-descs()
+const std::array<std::string, kNumSelectedCounters> &
+names()
 {
-    using enum CounterGroup;
-    static const std::array<CounterDesc, kNumSelectedCounters> table = {{
-        {{std::uint32_t(LRZ), 13}, "PERF_LRZ_VISIBLE_PRIM_AFTER_LRZ"},
-        {{std::uint32_t(LRZ), 14}, "PERF_LRZ_FULL_8X8_TILES"},
-        {{std::uint32_t(LRZ), 15}, "PERF_LRZ_PARTIAL_8X8_TILES"},
-        {{std::uint32_t(LRZ), 18}, "PERF_LRZ_VISIBLE_PIXEL_AFTER_LRZ"},
-        {{std::uint32_t(RAS), 1}, "PERF_RAS_SUPERTILE_ACTIVE_CYCLES"},
-        {{std::uint32_t(RAS), 4}, "PERF_RAS_SUPER_TILES"},
-        {{std::uint32_t(RAS), 5}, "PERF_RAS_8X4_TILES"},
-        {{std::uint32_t(RAS), 8}, "PERF_RAS_FULLY_COVERED_8X4_TILES"},
-        {{std::uint32_t(VPC), 9}, "PERF_VPC_PC_PRIMITIVES"},
-        {{std::uint32_t(VPC), 10}, "PERF_VPC_SP_COMPONENTS"},
-        {{std::uint32_t(VPC), 12}, "PERF_VPC_LRZ_ASSIGN_PRIMITIVES"},
+    static const std::array<std::string, kNumSelectedCounters> table = {{
+        "PERF_LRZ_VISIBLE_PRIM_AFTER_LRZ",
+        "PERF_LRZ_FULL_8X8_TILES",
+        "PERF_LRZ_PARTIAL_8X8_TILES",
+        "PERF_LRZ_VISIBLE_PIXEL_AFTER_LRZ",
+        "PERF_RAS_SUPERTILE_ACTIVE_CYCLES",
+        "PERF_RAS_SUPER_TILES",
+        "PERF_RAS_8X4_TILES",
+        "PERF_RAS_FULLY_COVERED_8X4_TILES",
+        "PERF_VPC_PC_PRIMITIVES",
+        "PERF_VPC_SP_COMPONENTS",
+        "PERF_VPC_LRZ_ASSIGN_PRIMITIVES",
     }};
     return table;
 }
@@ -41,7 +54,7 @@ counterId(SelectedCounter c)
 {
     if (c >= kNumSelectedCounters)
         panic("counterId: bad selected counter %zu", std::size_t(c));
-    return descs()[c].id;
+    return kSelectedCounterIds[c];
 }
 
 const std::string &
@@ -49,16 +62,16 @@ counterName(SelectedCounter c)
 {
     if (c >= kNumSelectedCounters)
         panic("counterName: bad selected counter %zu", std::size_t(c));
-    return descs()[c].name;
+    return names()[c];
 }
 
 std::optional<SelectedCounter>
 selectedFromId(CounterId id)
 {
-    for (std::size_t i = 0; i < kNumSelectedCounters; ++i)
-        if (descs()[i].id == id)
-            return SelectedCounter(i);
-    return std::nullopt;
+    const Countable c = resolveCountable(id);
+    if (!c.modelled())
+        return std::nullopt;
+    return c.selected;
 }
 
 std::string
@@ -71,6 +84,10 @@ groupLabel(CounterGroup g)
         return "RAS";
       case CounterGroup::LRZ:
         return "LRZ";
+      case CounterGroup::CP:
+        return "CP";
+      case CounterGroup::SP:
+        return "SP";
     }
     return "???";
 }

@@ -18,11 +18,15 @@
 
 namespace gpusc::gpu {
 
-/** KGSL performance-counter group ids (msm_kgsl.h values). */
+/** KGSL performance-counter group ids (msm_kgsl.h values). The
+ *  attack reads VPC, RAS and LRZ; CP and SP are implemented groups the
+ *  GLES enumeration step of §3.3 also walks. */
 enum class CounterGroup : std::uint32_t
 {
+    CP = 0x0,
     VPC = 0x5,
     RAS = 0x7,
+    SP = 0xa,
     LRZ = 0x19,
 };
 
@@ -52,6 +56,109 @@ enum SelectedCounter : std::size_t
 
     kNumSelectedCounters,
 };
+
+/** The KGSL (group, countable) pair of each selected counter, in
+ *  SelectedCounter order. */
+inline constexpr std::array<CounterId, kNumSelectedCounters>
+    kSelectedCounterIds = {{
+        {std::uint32_t(CounterGroup::LRZ), 13},
+        {std::uint32_t(CounterGroup::LRZ), 14},
+        {std::uint32_t(CounterGroup::LRZ), 15},
+        {std::uint32_t(CounterGroup::LRZ), 18},
+        {std::uint32_t(CounterGroup::RAS), 1},
+        {std::uint32_t(CounterGroup::RAS), 4},
+        {std::uint32_t(CounterGroup::RAS), 5},
+        {std::uint32_t(CounterGroup::RAS), 8},
+        {std::uint32_t(CounterGroup::VPC), 9},
+        {std::uint32_t(CounterGroup::VPC), 10},
+        {std::uint32_t(CounterGroup::VPC), 12},
+    }};
+
+/**
+ * The countable space the simulated hardware implements: each group
+ * exposes countables [0, countables). Real groups have a few dozen;
+ * this plausible range gives the enumeration step of §3.3 something to
+ * iterate over. Groups are in ascending id order, and every implemented
+ * countable has a dense index (its group's base plus the countable).
+ */
+struct CountableSpan
+{
+    CounterGroup group;
+    std::uint32_t countables;
+    std::uint32_t base;
+};
+
+inline constexpr std::array<CountableSpan, 5> kCountableSpans = {{
+    {CounterGroup::CP, 32, 0},
+    {CounterGroup::VPC, 24, 32},
+    {CounterGroup::RAS, 12, 56},
+    {CounterGroup::SP, 32, 68},
+    {CounterGroup::LRZ, 26, 100},
+}};
+
+/** Number of implemented countables (the dense index range). */
+inline constexpr std::size_t kNumImplementedCountables =
+    kCountableSpans.back().base + kCountableSpans.back().countables;
+
+/** A (group, countable) pair resolved against the hardware. */
+struct Countable
+{
+    static constexpr std::uint8_t kNotImplemented = 0xff;
+
+    /** Dense index in [0, kNumImplementedCountables), or
+     *  kNotImplemented. */
+    std::uint8_t index = kNotImplemented;
+    /** The Table-1 counter it feeds; kNumSelectedCounters for an
+     *  implemented countable the simulator does not model. */
+    SelectedCounter selected = kNumSelectedCounters;
+
+    constexpr bool implemented() const { return index != kNotImplemented; }
+    constexpr bool modelled() const
+    {
+        return selected != kNumSelectedCounters;
+    }
+};
+
+namespace detail {
+
+/** SelectedCounter of each dense countable index. */
+inline constexpr auto kSelectedByIndex = [] {
+    std::array<SelectedCounter, kNumImplementedCountables> t{};
+    t.fill(kNumSelectedCounters);
+    for (std::size_t i = 0; i < kNumSelectedCounters; ++i)
+        for (const CountableSpan &s : kCountableSpans)
+            if (std::uint32_t(s.group) == kSelectedCounterIds[i].group)
+                t[s.base + kSelectedCounterIds[i].countable] =
+                    SelectedCounter(i);
+    return t;
+}();
+
+} // namespace detail
+
+/** Resolve @p id against the implemented countable space. */
+constexpr Countable
+resolveCountable(CounterId id)
+{
+    for (const CountableSpan &s : kCountableSpans) {
+        if (std::uint32_t(s.group) != id.group)
+            continue;
+        if (id.countable >= s.countables)
+            return {};
+        const std::size_t index = s.base + id.countable;
+        return {std::uint8_t(index), detail::kSelectedByIndex[index]};
+    }
+    return {};
+}
+
+/** @return the (group, countable) pair of dense index @p index. */
+constexpr CounterId
+countableAt(std::size_t index)
+{
+    for (const CountableSpan &s : kCountableSpans)
+        if (index >= s.base && index < s.base + s.countables)
+            return {std::uint32_t(s.group), std::uint32_t(index - s.base)};
+    return {~0u, ~0u};
+}
 
 /** Per-frame (or per-signature) counter deltas. */
 using CounterVec = std::array<std::int64_t, kNumSelectedCounters>;

@@ -103,10 +103,14 @@ RenderEngine::retireJobs()
     while (!jobs_.empty() && jobs_.front().end + kRetireAge < now) {
         const Job &j = jobs_.front();
         CounterTotals &pid = settledPerPid_[j.ownerPid];
+        const bool folded = folded_ > 0;
         for (std::size_t i = 0; i < j.deltas.size(); ++i) {
-            settled_[i] += std::uint64_t(j.deltas[i]);
+            if (!folded)
+                settled_[i] += std::uint64_t(j.deltas[i]);
             pid[i] += std::uint64_t(j.deltas[i]);
         }
+        if (folded)
+            --folded_;
         jobs_.pop_front();
     }
 }
@@ -117,13 +121,36 @@ RenderEngine::read(SelectedCounter c)
     return readAll()[c];
 }
 
+void
+RenderEngine::foldFinished(SimTime now)
+{
+    // Jobs run back to back, so end times never decrease and the
+    // finished jobs are a prefix of jobs_. A job is fully observable
+    // once accruedAt returns all of its deltas (now past its start
+    // and at or past its end).
+    while (folded_ < jobs_.size()) {
+        const Job &j = jobs_[folded_];
+        if (now <= j.start || now < j.end)
+            break;
+        for (std::size_t i = 0; i < j.deltas.size(); ++i)
+            settled_[i] += std::uint64_t(j.deltas[i]);
+        ++folded_;
+    }
+}
+
 CounterTotals
 RenderEngine::readAll()
 {
     retireJobs();
-    CounterTotals out = settled_;
     const SimTime now = eq_.now();
-    for (const Job &j : jobs_) {
+    foldFinished(now);
+    CounterTotals out = settled_;
+    // The in-flight suffix: at most one job has started; the rest
+    // start after it ends and accrue nothing yet.
+    for (std::size_t k = folded_; k < jobs_.size(); ++k) {
+        const Job &j = jobs_[k];
+        if (now <= j.start)
+            break;
         const CounterVec acc = accruedAt(j, now);
         for (std::size_t i = 0; i < acc.size(); ++i)
             out[i] += std::uint64_t(acc[i]);

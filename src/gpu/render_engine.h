@@ -116,17 +116,26 @@ class RenderEngine
     /** Counters accrued by @p job as observable at time @p t. */
     CounterVec accruedAt(const Job &job, SimTime t) const;
 
-    /** Fold fully-retired jobs into the settled totals. */
+    /** Drop jobs too old to affect reads or busy%, folding them into
+     *  the per-pid totals (and into settled_ if not yet there). */
     void retireJobs();
+
+    /** Fold finished jobs into settled_, each exactly once. */
+    void foldFinished(SimTime now);
 
     EventQueue &eq_;
     Pipeline pipeline_;
     Rng rng_;
     double noiseSigma_ = 0.0;
 
+    /** Retired jobs plus jobs_[0, folded_): every job whose counters
+     *  are fully observable. */
     CounterTotals settled_{};
     std::unordered_map<int, CounterTotals> settledPerPid_;
+    /** Jobs in submission order; their end times never decrease. */
     std::deque<Job> jobs_;
+    /** Length of the jobs_ prefix already added to settled_. */
+    std::size_t folded_ = 0;
     SimTime busyUntil_;
     SimTime totalBusy_;
     std::uint64_t framesRendered_ = 0;

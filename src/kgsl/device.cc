@@ -4,6 +4,17 @@
 
 namespace gpusc::kgsl {
 
+static_assert(std::uint32_t(gpu::CounterGroup::CP) ==
+                  KGSL_PERFCOUNTER_GROUP_CP &&
+              std::uint32_t(gpu::CounterGroup::VPC) ==
+                  KGSL_PERFCOUNTER_GROUP_VPC &&
+              std::uint32_t(gpu::CounterGroup::RAS) ==
+                  KGSL_PERFCOUNTER_GROUP_RAS &&
+              std::uint32_t(gpu::CounterGroup::SP) ==
+                  KGSL_PERFCOUNTER_GROUP_SP &&
+              std::uint32_t(gpu::CounterGroup::LRZ) ==
+                  KGSL_PERFCOUNTER_GROUP_LRZ);
+
 KgslDevice::KgslDevice(gpu::RenderEngine &engine,
                        const SecurityPolicy &policy)
     : engine_(engine), policy_(&policy)
@@ -30,9 +41,10 @@ void
 KgslDevice::dropReservations(OpenFile &file)
 {
     if (injector_ && !file.stale)
-        for (const auto &[groupid, countable] : file.reservations)
-            injector_->release(groupid);
-    file.reservations.clear();
+        for (std::size_t i = 0; i < file.reservations.size(); ++i)
+            if (file.reservations.test(i))
+                injector_->release(gpu::countableAt(i).group);
+    file.reservations.reset();
 }
 
 int
@@ -51,32 +63,14 @@ KgslDevice::totalReservations() const
 {
     std::size_t n = 0;
     for (const auto &[fd, file] : files_)
-        n += file.reservations.size();
+        n += file.reservations.count();
     return n;
 }
 
 bool
 hardwareImplementsCounter(std::uint32_t groupid, std::uint32_t countable)
 {
-    // The selected 11 countables...
-    if (gpu::selectedFromId({groupid, countable}))
-        return true;
-    // ...plus the rest of each group's countable space (real groups
-    // have a few dozen countables; we expose a plausible range so the
-    // enumeration step of §3.3 has something to iterate over).
-    switch (groupid) {
-      case KGSL_PERFCOUNTER_GROUP_VPC:
-        return countable < 24;
-      case KGSL_PERFCOUNTER_GROUP_RAS:
-        return countable < 12;
-      case KGSL_PERFCOUNTER_GROUP_LRZ:
-        return countable < 26;
-      case KGSL_PERFCOUNTER_GROUP_CP:
-      case KGSL_PERFCOUNTER_GROUP_SP:
-        return countable < 32;
-      default:
-        return false;
-    }
+    return gpu::resolveCountable({groupid, countable}).implemented();
 }
 
 int
@@ -84,15 +78,17 @@ KgslDevice::doPerfcounterGet(OpenFile &file, kgsl_perfcounter_get *arg)
 {
     if (!arg)
         return -KGSL_EFAULT;
-    if (!hardwareImplementsCounter(arg->groupid, arg->countable))
+    const gpu::Countable c =
+        gpu::resolveCountable({arg->groupid, arg->countable});
+    if (!c.implemented())
         return -KGSL_EINVAL;
-    if (!file.reservations.contains({arg->groupid, arg->countable})) {
+    if (!file.reservations.test(c.index)) {
         // A fresh reservation needs a free physical register in the
         // group (re-GET of a held countable costs nothing, like the
         // refcounted real driver).
         if (injector_ && !injector_->tryReserve(arg->groupid))
             return -KGSL_EBUSY;
-        file.reservations.insert({arg->groupid, arg->countable});
+        file.reservations.set(c.index);
     }
     // Real driver returns the register offset; any stable nonzero
     // value preserves the calling convention.
@@ -106,8 +102,12 @@ KgslDevice::doPerfcounterPut(OpenFile &file, kgsl_perfcounter_put *arg)
 {
     if (!arg)
         return -KGSL_EFAULT;
-    if (file.reservations.erase({arg->groupid, arg->countable}) &&
-        injector_)
+    const gpu::Countable c =
+        gpu::resolveCountable({arg->groupid, arg->countable});
+    if (!c.implemented() || !file.reservations.test(c.index))
+        return 0;
+    file.reservations.reset(c.index);
+    if (injector_)
         injector_->release(arg->groupid);
     return 0;
 }
@@ -145,15 +145,15 @@ KgslDevice::doPerfcounterRead(OpenFile &file, kgsl_perfcounter_read *arg)
     }
     for (std::uint32_t i = 0; i < arg->count; ++i) {
         kgsl_perfcounter_read_group &entry = arg->reads[i];
-        if (!hardwareImplementsCounter(entry.groupid, entry.countable))
+        const gpu::Countable c =
+            gpu::resolveCountable({entry.groupid, entry.countable});
+        if (!c.implemented())
             return -KGSL_EINVAL;
-        if (!file.reservations.contains({entry.groupid, entry.countable}))
+        if (!file.reservations.test(c.index))
             return -KGSL_EINVAL; // must PERFCOUNTER_GET first
-        const auto sel =
-            gpu::selectedFromId({entry.groupid, entry.countable});
         // Countables outside the modelled set read as a constant; the
         // attack never uses them.
-        entry.value = sel ? totals[*sel] : 0;
+        entry.value = c.modelled() ? totals[c.selected] : 0;
     }
     return 0;
 }

@@ -19,9 +19,9 @@
 #ifndef GPUSC_KGSL_DEVICE_H
 #define GPUSC_KGSL_DEVICE_H
 
+#include <bitset>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 
 #include "gpu/render_engine.h"
@@ -105,7 +105,8 @@ class KgslDevice
     struct OpenFile
     {
         ProcessContext proc;
-        std::set<std::pair<std::uint32_t, std::uint32_t>> reservations;
+        /** Held countables, by gpu::Countable::index. */
+        std::bitset<gpu::kNumImplementedCountables> reservations;
         /** Reset epoch the descriptor was opened in. */
         std::uint64_t epoch = 0;
         /** Invalidated by a device reset; every ioctl is ENODEV. */

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "android/keyboard.h"
+#include "gfx/font.h"
+#include "util/rng.h"
 
 namespace gpusc::android {
 namespace {
@@ -178,6 +182,188 @@ TEST_P(LayoutSweep, PagesShareBottomRowGeometry)
     ASSERT_NE(commaSym, nullptr);
     EXPECT_EQ(commaLower->rect, commaUpper->rect);
     EXPECT_EQ(commaLower->rect, commaSym->rect);
+}
+
+/** Special-key icons, drawn the long way (reference for the memo). */
+void
+refKeyIcon(gfx::FrameScene &scene, const Key &key)
+{
+    const gfx::Rect box = key.rect.inset(key.rect.height() / 3);
+    const int cx = box.center().x;
+    const int cy = box.center().y;
+    const int u = std::max(2, box.height() / 5);
+    auto add = [&](const gfx::Rect &r) {
+        scene.add(r, true, gfx::PrimTag::KeyLabel);
+    };
+    switch (key.code) {
+      case KeyCode::Shift:
+        add(gfx::Rect::ofSize(cx - u / 2, box.y0, u, 2 * u));
+        add(gfx::Rect::ofSize(cx - u, box.y0 + u, 2 * u, u));
+        add(gfx::Rect::ofSize(cx - u / 2, box.y0 + 2 * u, u, 2 * u));
+        break;
+      case KeyCode::Backspace:
+        add(gfx::Rect::ofSize(box.x0, cy - u / 2, box.width(), u));
+        add(gfx::Rect::ofSize(box.x0, cy - u, u, 2 * u));
+        break;
+      case KeyCode::Sym:
+      case KeyCode::Abc:
+        add(gfx::Rect::ofSize(box.x0, cy - u / 2, box.width(), u));
+        add(gfx::Rect::ofSize(cx - u / 2, box.y0, u, box.height()));
+        break;
+      case KeyCode::Space:
+        add(gfx::Rect::ofSize(box.x0, box.y1 - u, box.width(), u));
+        break;
+      case KeyCode::Enter:
+        add(gfx::Rect::ofSize(box.x0, cy - u / 2, box.width() - u, u));
+        add(gfx::Rect::ofSize(box.x1 - u, cy - 2 * u, u, 2 * u));
+        break;
+      case KeyCode::Char:
+        break;
+    }
+}
+
+/** A fresh draw of the keyboard base into @p scene (clipped by its
+ *  damage as each prim is added): the reference buildBase must match
+ *  prim for prim. */
+void
+refBase(const KeyboardLayout &l, gfx::FrameScene &scene, KbPage page)
+{
+    const DisplayConfig &display = l.display();
+    const gfx::Rect &bounds = l.bounds();
+    const gfx::Rect surface = l.surfaceBounds();
+    if (surface.y0 < bounds.y0) {
+        const gfx::Rect strip{surface.x0, surface.y0, surface.x1,
+                              bounds.y0};
+        scene.add(strip, true, gfx::PrimTag::Background);
+        const int sh = strip.height();
+        const int glyphH = std::max(6, sh / 3);
+        const int glyphW = glyphH * gfx::kGlyphCols / gfx::kGlyphRows;
+        const int y = strip.y0 + (sh - glyphH) / 2;
+        const std::string phrase =
+            "the quick brown fox jumps over a lazy dog and you can "
+            "type some more words here right now because these are "
+            "only suggestions";
+        int x = strip.x0 + display.dp(4);
+        const int pitch = glyphW + display.dp(1);
+        for (char pc : phrase) {
+            if (x + glyphW > strip.x1 - display.dp(4))
+                break;
+            if (pc != ' ') {
+                for (const gfx::Rect &run : gfx::glyphRunRects(
+                         pc, gfx::Rect::ofSize(x, y, glyphW, glyphH)))
+                    scene.add(run, true, gfx::PrimTag::KeyLabel);
+            }
+            x += pitch;
+        }
+        for (int div = 1; div <= 2; ++div) {
+            scene.add(gfx::Rect::ofSize(
+                          strip.x0 + div * strip.width() / 3,
+                          strip.y0 + sh / 4, display.dp(1), sh / 2),
+                      true, gfx::PrimTag::KeyLabel);
+        }
+    }
+
+    scene.add(bounds, true, gfx::PrimTag::Background);
+    const int capInset = display.dp(l.spec().capInsetDp);
+    const int labelH = display.dp(l.spec().labelDp);
+    const int labelW = labelH * gfx::kGlyphCols / gfx::kGlyphRows;
+    for (const Key &key : l.keys(page)) {
+        scene.add(key.rect.inset(capInset), true, gfx::PrimTag::KeyCap);
+        if (key.code == KeyCode::Char && key.ch != ' ') {
+            const gfx::Point c = key.rect.center();
+            const gfx::Rect labelBox =
+                gfx::Rect::ofSize(c.x - labelW / 2, c.y - labelH / 2,
+                                  labelW, labelH);
+            for (const gfx::Rect &run :
+                 gfx::glyphRunRects(key.ch, labelBox))
+                scene.add(run, true, gfx::PrimTag::KeyLabel);
+        } else {
+            refKeyIcon(scene, key);
+        }
+    }
+}
+
+/** buildBase over @p damage equals the reference draw, prim by prim
+ *  (prims already in the scene stay in front of the base). */
+void
+expectBaseMatchesFreshDraw(const KeyboardLayout &l, KbPage page,
+                           const gfx::Rect &damage)
+{
+    const gfx::Prim pre{gfx::Rect::ofSize(1, 2, 3, 4), false,
+                        gfx::PrimTag::AppContent};
+    gfx::FrameScene got, want;
+    got.damage = want.damage = damage;
+    got.prims.push_back(pre);
+    want.prims.push_back(pre);
+    l.buildBase(got, page);
+    refBase(l, want, page);
+    ASSERT_EQ(got.prims.size(), want.prims.size())
+        << "page " << int(page) << " damage " << damage.x0 << ","
+        << damage.y0 << "," << damage.x1 << "," << damage.y1;
+    for (std::size_t i = 0; i < got.prims.size(); ++i) {
+        ASSERT_EQ(got.prims[i].rect, want.prims[i].rect) << "prim " << i;
+        ASSERT_EQ(got.prims[i].opaque, want.prims[i].opaque)
+            << "prim " << i;
+        ASSERT_EQ(got.prims[i].tag, want.prims[i].tag) << "prim " << i;
+    }
+    EXPECT_EQ(got.contentHash(), want.contentHash());
+}
+
+/** Full surface, keyboard bounds, every key's popup region, random
+ *  partial rects and rects reaching past the surface on any side. */
+void
+expectBaseMatchesForDamages(const KeyboardLayout &l, Rng &rng)
+{
+    const gfx::Rect surface = l.surfaceBounds();
+    for (KbPage page : {KbPage::Lower, KbPage::Upper, KbPage::Symbols}) {
+        expectBaseMatchesFreshDraw(l, page, surface);
+        expectBaseMatchesFreshDraw(l, page, l.bounds());
+        for (KbPage keyPage :
+             {KbPage::Lower, KbPage::Upper, KbPage::Symbols})
+            for (const Key &k : l.keys(keyPage))
+                expectBaseMatchesFreshDraw(l, page, l.popupMaxRect(k));
+        for (int i = 0; i < 40; ++i) {
+            const int x0 = int(rng.uniformInt(surface.x0 - 200,
+                                              surface.x1 + 50));
+            const int y0 = int(rng.uniformInt(-300, surface.y1 + 50));
+            const int w = int(rng.uniformInt(0, surface.width() + 400));
+            const int h = int(rng.uniformInt(0, surface.height() + 400));
+            expectBaseMatchesFreshDraw(l, page,
+                                       gfx::Rect::ofSize(x0, y0, w, h));
+        }
+        expectBaseMatchesFreshDraw(
+            l, page, gfx::Rect{-5000, -5000, 5000, 5000});
+        expectBaseMatchesFreshDraw(l, page, gfx::Rect{-40, -40, -1, -1});
+        expectBaseMatchesFreshDraw(
+            l, page,
+            gfx::Rect{surface.x1, surface.y1, surface.x1 + 80,
+                      surface.y1 + 80});
+        expectBaseMatchesFreshDraw(l, page, gfx::Rect{});
+    }
+}
+
+TEST_P(LayoutSweep, BaseMatchesFreshDrawForEveryDamage)
+{
+    Rng rng(0xba5e);
+    for (const DisplayConfig &display :
+         {displayFhdPlus(), displayQhdPlus()}) {
+        const KeyboardLayout l(keyboardSpec(GetParam()), display);
+        expectBaseMatchesForDamages(l, rng);
+    }
+}
+
+TEST_P(LayoutSweep, CopiedAndMovedLayoutsDrawTheirOwnBase)
+{
+    // Device hands its layout to Ime by value: the memo must travel.
+    Rng rng(0xc0b7);
+    KeyboardLayout original(keyboardSpec(GetParam()), displayQhdPlus());
+    const KeyboardLayout copy = original;
+    expectBaseMatchesForDamages(copy, rng);
+    KeyboardLayout moved = std::move(original);
+    expectBaseMatchesForDamages(moved, rng);
+    KeyboardLayout assigned(keyboardSpec("go"), displayFhdPlus());
+    assigned = moved;
+    expectBaseMatchesForDamages(assigned, rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKeyboards, LayoutSweep,

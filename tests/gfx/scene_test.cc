@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "gfx/scene.h"
 
 namespace gpusc::gfx {
@@ -23,6 +25,25 @@ TEST(SceneTest, AddDropsInvisiblePrims)
     s.add(Rect::ofSize(200, 200, 10, 10), true, PrimTag::AppContent);
     EXPECT_TRUE(s.prims.empty());
     EXPECT_TRUE(s.empty());
+}
+
+TEST(SceneTest, AppendMatchesAddPerPrim)
+{
+    const std::vector<Prim> src = {
+        {Rect::ofSize(-20, -20, 50, 50), true, PrimTag::Background},
+        {Rect::ofSize(200, 200, 10, 10), false, PrimTag::KeyCap},
+        {Rect{30, 30, 30, 60}, true, PrimTag::KeyLabel},
+        {Rect::ofSize(90, 10, 40, 5), false, PrimTag::Popup},
+    };
+    FrameScene viaAdd, viaAppend;
+    viaAdd.damage = viaAppend.damage = Rect::ofSize(0, 0, 100, 100);
+    for (const Prim &p : src)
+        viaAdd.add(p.rect, p.opaque, p.tag);
+    viaAppend.append(src);
+    ASSERT_EQ(viaAppend.prims.size(), 2u);
+    EXPECT_EQ(viaAppend.prims[0].rect, (Rect{0, 0, 30, 30}));
+    EXPECT_EQ(viaAppend.prims[1].rect, (Rect{90, 10, 100, 15}));
+    EXPECT_EQ(viaAppend.contentHash(), viaAdd.contentHash());
 }
 
 TEST(SceneTest, EmptyDetection)

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "gpu/counters.h"
+#include "kgsl/device.h"
 
 namespace gpusc::gpu {
 namespace {
@@ -52,11 +56,75 @@ TEST(CountersTest, ReverseLookupRejectsUnknown)
     EXPECT_FALSE(selectedFromId({0x42, 13}).has_value());
 }
 
+/** The reverse lookup as it was before the countable table: a linear
+ *  scan over counterId(). */
+std::optional<SelectedCounter>
+linearSelectedFromId(CounterId id)
+{
+    for (std::size_t i = 0; i < kNumSelectedCounters; ++i)
+        if (counterId(SelectedCounter(i)) == id)
+            return SelectedCounter(i);
+    return std::nullopt;
+}
+
+TEST(CountersTest, ReverseLookupMatchesLinearScanOverSweep)
+{
+    // Every group id 0..0x1f x countable 0..63, plus ids far outside.
+    for (std::uint32_t g = 0; g < 0x20; ++g)
+        for (std::uint32_t c = 0; c < 64; ++c)
+            EXPECT_EQ(selectedFromId({g, c}), linearSelectedFromId({g, c}))
+                << "group " << g << " countable " << c;
+    for (const CounterId id : {CounterId{0x19, 13 + 26},
+                               CounterId{0x19 + 0x20, 13},
+                               CounterId{0xffffffffu, 13},
+                               CounterId{0x19, 0xffffffffu}})
+        EXPECT_FALSE(selectedFromId(id).has_value());
+}
+
+TEST(CountersTest, CountableTableCoversImplementedRanges)
+{
+    // Per-group implemented ranges (kgsl::hardwareImplementsCounter
+    // answers from the same table): CP/SP < 32, VPC < 24, RAS < 12,
+    // LRZ < 26; the dense index enumerates them without gaps.
+    const std::pair<std::uint32_t, std::uint32_t> ranges[] = {
+        {0x0, 32}, {0x5, 24}, {0x7, 12}, {0xa, 32}, {0x19, 26}};
+    std::vector<bool> seen(kNumImplementedCountables, false);
+    for (std::uint32_t g = 0; g < 0x20; ++g) {
+        std::uint32_t limit = 0;
+        for (const auto &[group, n] : ranges)
+            if (group == g)
+                limit = n;
+        for (std::uint32_t c = 0; c < 64; ++c) {
+            const Countable r = resolveCountable({g, c});
+            ASSERT_EQ(r.implemented(), c < limit)
+                << "group " << g << " countable " << c;
+            EXPECT_EQ(kgsl::hardwareImplementsCounter(g, c), c < limit)
+                << "group " << g << " countable " << c;
+            if (!r.implemented()) {
+                EXPECT_FALSE(r.modelled());
+                continue;
+            }
+            ASSERT_LT(r.index, kNumImplementedCountables);
+            EXPECT_FALSE(seen[r.index]) << "index " << int(r.index);
+            seen[r.index] = true;
+            EXPECT_EQ(countableAt(r.index), (CounterId{g, c}));
+            EXPECT_EQ(r.modelled(), linearSelectedFromId({g, c}).has_value());
+            if (r.modelled()) {
+                EXPECT_EQ(r.selected, *linearSelectedFromId({g, c}));
+            }
+        }
+    }
+    for (std::size_t i = 0; i < kNumImplementedCountables; ++i)
+        EXPECT_TRUE(seen[i]) << "index " << i;
+}
+
 TEST(CountersTest, GroupLabels)
 {
     EXPECT_EQ(groupLabel(CounterGroup::LRZ), "LRZ");
     EXPECT_EQ(groupLabel(CounterGroup::RAS), "RAS");
     EXPECT_EQ(groupLabel(CounterGroup::VPC), "VPC");
+    EXPECT_EQ(groupLabel(CounterGroup::CP), "CP");
+    EXPECT_EQ(groupLabel(CounterGroup::SP), "SP");
 }
 
 TEST(CountersTest, VectorArithmetic)

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
 #include "gpu/model.h"
+#include "gpu/pipeline.h"
 #include "gpu/render_engine.h"
 #include "util/event_queue.h"
+#include "util/rng.h"
 
 namespace gpusc::gpu {
 namespace {
@@ -158,6 +164,162 @@ TEST_F(RenderEngineTest, LargerScenesTakeLonger)
         e2.submit(quadScene(1024, 1024)) - eq2.now();
     EXPECT_GT(big, small);
 }
+
+/** A job as the reference sees it: its interval, deltas and owner. */
+struct RefJob
+{
+    SimTime start;
+    SimTime end;
+    CounterVec deltas{};
+    int pid = 0;
+};
+
+/** Counters of @p j observable at @p t: nothing before its start, all
+ *  of it from its end on, a linear share in between. */
+CounterVec
+refAccrued(const RefJob &j, SimTime t)
+{
+    CounterVec out{};
+    if (t <= j.start)
+        return out;
+    if (t >= j.end)
+        return j.deltas;
+    const double frac = double((t - j.start).ns()) /
+                        double((j.end - j.start).ns());
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] = std::int64_t(double(j.deltas[i]) * frac);
+    return out;
+}
+
+/** Sum of refAccrued over every job ever submitted (by @p pid, or by
+ *  anyone when @p pid is null). */
+CounterTotals
+refTotals(const std::vector<RefJob> &jobs, SimTime t, const int *pid)
+{
+    CounterTotals out{};
+    for (const RefJob &j : jobs) {
+        if (pid && j.pid != *pid)
+            continue;
+        const CounterVec acc = refAccrued(j, t);
+        for (std::size_t i = 0; i < out.size(); ++i)
+            out[i] += std::uint64_t(acc[i]);
+    }
+    return out;
+}
+
+double
+refBusyPercent(const std::vector<RefJob> &jobs, SimTime now)
+{
+    const SimTime window = 100_ms;
+    const SimTime winStart = now > window ? now - window : SimTime();
+    std::int64_t busyNs = 0;
+    for (const RefJob &j : jobs) {
+        const SimTime s = std::max(j.start, winStart);
+        const SimTime e = std::min(j.end, now);
+        if (e > s)
+            busyNs += (e - s).ns();
+    }
+    const std::int64_t winNs = (now - winStart).ns();
+    return winNs <= 0 ? 0.0 : 100.0 * double(busyNs) / double(winNs);
+}
+
+class RenderEngineFoldTest : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(RenderEngineFoldTest, ReadsMatchSumOverEveryJob)
+{
+    const GpuModel &model = adrenoModel(650);
+    Rng rng(GetParam());
+
+    // A small pool of scenes (the engine's content memo stays warm);
+    // the reference renders each once on its own pipeline.
+    std::vector<gfx::FrameScene> pool;
+    Pipeline pipe(model);
+    std::vector<CounterVec> poolDeltas;
+    for (int k = 0; k < 6; ++k) {
+        gfx::FrameScene s;
+        s.damage = gfx::Rect::ofSize(0, 0, 64 + 96 * k, 48 + 64 * k);
+        s.add(s.damage, true, gfx::PrimTag::Background);
+        for (int p = 0; p < k; ++p)
+            s.add(gfx::Rect::ofSize(8 * p, 5 * p, 40 + 30 * p, 24 + 9 * p),
+                  p % 2 == 0, gfx::PrimTag::KeyCap);
+        poolDeltas.push_back(pipe.render(s).deltas);
+        pool.push_back(std::move(s));
+    }
+
+    EventQueue eq;
+    RenderEngine engine(eq, model, 1);
+    std::vector<RefJob> jobs;
+    SimTime busyUntil;
+    const std::array<int, 3> pids = {0, 7, 42};
+    std::size_t midJobReads = 0;
+
+    for (int step = 0; step < 1500; ++step) {
+        const double u = rng.uniform();
+        if (u < 0.30) {
+            const std::size_t k =
+                std::size_t(rng.uniformInt(0, std::int64_t(pool.size()) - 1));
+            const int pid = rng.pick(pids);
+            const SimTime start = std::max(eq.now(), busyUntil);
+            const SimTime end = engine.submit(pool[k], pid);
+            jobs.push_back({start, end, poolDeltas[k], pid});
+            busyUntil = end;
+        } else if (u < 0.40) {
+            const SimTime dur =
+                SimTime::fromUs(rng.uniformInt(0, 3000));
+            const SimTime start = std::max(eq.now(), busyUntil);
+            const SimTime end = engine.submitCompute(dur);
+            if (dur.ns() > 0) {
+                jobs.push_back({start, end, CounterVec{}, 0});
+                busyUntil = end;
+            } else {
+                EXPECT_EQ(end, eq.now());
+            }
+        } else if (u < 0.43) {
+            // Jump past the 500 ms retirement age.
+            eq.runUntil(eq.now() + SimTime::fromMs(rng.uniformInt(400, 900)));
+        } else {
+            eq.runUntil(eq.now() + SimTime::fromUs(rng.uniformInt(0, 2500)));
+        }
+
+        const SimTime now = eq.now();
+        for (const RefJob &j : jobs)
+            if (now > j.start && now < j.end)
+                ++midJobReads;
+        switch (rng.uniformInt(0, 3)) {
+          case 0:
+            ASSERT_EQ(engine.readAll(), refTotals(jobs, now, nullptr))
+                << "step " << step;
+            break;
+          case 1: {
+            const int pid = rng.pick(pids);
+            ASSERT_EQ(engine.readLocal(pid), refTotals(jobs, now, &pid))
+                << "step " << step << " pid " << pid;
+            break;
+          }
+          case 2:
+            ASSERT_DOUBLE_EQ(engine.busyPercent(),
+                             refBusyPercent(jobs, now))
+                << "step " << step;
+            break;
+          default: {
+            const auto c = SelectedCounter(
+                rng.uniformInt(0, kNumSelectedCounters - 1));
+            ASSERT_EQ(engine.read(c), refTotals(jobs, now, nullptr)[c])
+                << "step " << step;
+            break;
+          }
+        }
+    }
+    // The sequence exercised reads inside running jobs.
+    EXPECT_GT(midJobReads, 50u);
+    eq.runUntil(eq.now() + 1_s);
+    EXPECT_EQ(engine.readAll(), refTotals(jobs, eq.now(), nullptr));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RenderEngineFoldTest,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 } // namespace
 } // namespace gpusc::gpu
