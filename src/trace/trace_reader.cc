@@ -91,30 +91,24 @@ TraceReader::next(TraceRecord &out, bool &eof)
         return error_ = TraceError::BadRecordPayload;
     }
 
-    std::vector<std::uint8_t> payload(payloadLen);
-    if (payloadLen > 0 &&
-        std::fread(payload.data(), 1, payloadLen, file_) !=
-            payloadLen) {
+    // Payload and CRC in one read, into a buffer reused across
+    // records; the bound above caps it at kMaxRecordPayload + 4.
+    buf_.resize(payloadLen + 4u);
+    if (std::fread(buf_.data(), 1, buf_.size(), file_) != buf_.size()) {
         close();
         return error_ = TraceError::TruncatedRecord;
     }
-    std::uint8_t crcBytes[4];
-    if (std::fread(crcBytes, 1, sizeof(crcBytes), file_) !=
-        sizeof(crcBytes)) {
-        close();
-        return error_ = TraceError::TruncatedRecord;
-    }
-    ByteReader cr(crcBytes, sizeof(crcBytes));
+    ByteReader cr(buf_.data() + payloadLen, 4);
     const std::uint32_t storedCrc = cr.u32();
     const std::uint32_t crc =
-        crc32(payload, crc32(frame, sizeof(frame)));
+        crc32(buf_.data(), payloadLen, crc32(frame, sizeof(frame)));
     if (crc != storedCrc) {
         close();
         return error_ = TraceError::RecordCrcMismatch;
     }
 
-    const TraceError err = decodePayload(
-        kind, payload.data(), payload.size(), out, header_.version);
+    const TraceError err = decodePayload(kind, buf_.data(), payloadLen,
+                                         out, header_.version);
     if (err != TraceError::None) {
         close();
         return error_ = err;

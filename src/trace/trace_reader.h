@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "trace/trace_format.h"
 
@@ -62,6 +63,9 @@ class TraceReader
     TraceHeader header_{};
     std::uint64_t records_ = 0;
     TraceError error_ = TraceError::None;
+    /** One record's payload + CRC; reused so next() never allocates
+     *  once it has seen the largest record. */
+    std::vector<std::uint8_t> buf_;
 };
 
 } // namespace gpusc::trace

@@ -186,6 +186,74 @@ TEST(TraceFormatTest, TruncationIsDetected)
     std::remove(path.c_str());
 }
 
+/**
+ * Cut a trace at every length. Record sizes go up and down (a long
+ * TrialBegin, Readings, key events, the timestamp-only TrialEnd), so
+ * the reader's reused record buffer both grows and shrinks. A cut
+ * is clean exactly at a record boundary; anywhere else it is a
+ * truncation, and the records before it still count.
+ */
+TEST(TraceFormatTest, TruncationAtEveryOffsetIsTyped)
+{
+    setVerbose(false);
+    const std::string path = ::testing::TempDir() + "cuts.gpct";
+    {
+        TraceWriter w;
+        ASSERT_EQ(w.open(path, testHeader()), TraceError::None);
+        w.writeTrialBegin(SimTime::fromMs(1), std::string(300, 'p'));
+        w.writeReading(testReading(8, 1000));
+        w.writeKeyPress(SimTime::fromMs(10), 'p');
+        w.writeReading(testReading(16, 2000));
+        w.writeTrialEnd(SimTime::fromMs(20));
+        w.writeTrialBegin(SimTime::fromMs(21), "ab");
+        w.writeReading(testReading(24, 3000));
+        w.writeBackspace(SimTime::fromMs(26));
+        w.writeTrialEnd(SimTime::fromMs(30));
+        ASSERT_EQ(w.close(), TraceError::None);
+    }
+    const std::vector<std::uint8_t> bytes = slurp(path);
+
+    // Boundaries from the documented layout: header = 8-byte prefix
+    // (u16 payload length at offset 6) + payload + CRC; record =
+    // kind + u32 length + payload + CRC.
+    auto le = [&](std::size_t at, int n) {
+        std::uint32_t v = 0;
+        for (int i = n - 1; i >= 0; --i)
+            v = v << 8 | bytes[at + std::size_t(i)];
+        return v;
+    };
+    const std::size_t headerEnd = 8 + le(6, 2) + 4;
+    std::vector<std::size_t> bounds{headerEnd};
+    while (bounds.back() < bytes.size())
+        bounds.push_back(bounds.back() + 5 + le(bounds.back() + 1, 4) +
+                         4);
+    ASSERT_EQ(bounds.back(), bytes.size());
+    ASSERT_EQ(bounds.size(), 10u); // header + 9 records
+
+    const std::string cut = ::testing::TempDir() + "cut.gpct";
+    for (std::size_t len = 0; len <= bytes.size(); ++len) {
+        dump(cut, {bytes.begin(), bytes.begin() + long(len)});
+        std::uint64_t records = ~0ull;
+        const TraceError e = TraceReader::verifyFile(cut, &records);
+        if (len < headerEnd) {
+            EXPECT_TRUE(e == TraceError::TruncatedHeader ||
+                        e == TraceError::IoRead)
+                << "cut " << len << ": " << traceErrorString(e);
+            continue;
+        }
+        std::size_t whole = 0;
+        while (whole + 1 < bounds.size() && bounds[whole + 1] <= len)
+            ++whole;
+        const bool atBoundary = bounds[whole] == len;
+        EXPECT_EQ(e, atBoundary ? TraceError::None
+                                : TraceError::TruncatedRecord)
+            << "cut " << len << ": " << traceErrorString(e);
+        EXPECT_EQ(records, whole) << "cut " << len;
+    }
+    std::remove(cut.c_str());
+    std::remove(path.c_str());
+}
+
 TEST(TraceFormatTest, UnknownRecordKindIsRejected)
 {
     setVerbose(false);
