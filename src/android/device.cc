@@ -32,14 +32,30 @@ resolveDisplay(const DeviceConfig &cfg, const PhoneSpec &phone)
 
 } // namespace
 
-Device::Device(DeviceConfig cfg)
+std::string
+modelKey(const DeviceConfig &cfg)
+{
+    const PhoneSpec &phone = phoneSpec(cfg.phone);
+    const DisplayConfig display = resolveDisplay(cfg, phone);
+    const int os = cfg.osVersion ? cfg.osVersion : phone.osVersion;
+    // The target app is part of the configuration: its credential
+    // field's geometry shapes the echo line and blink variants the
+    // model carries (§3.2 — one model per device model AND
+    // configuration).
+    return phone.id + "/adreno" + std::to_string(phone.adrenoGen) + "/" +
+           display.name + "@" + std::to_string(display.refreshHz) + "/" +
+           cfg.keyboard + "/android" + std::to_string(os) + "/" + cfg.app;
+}
+
+Device::Device(DeviceConfig cfg, std::shared_ptr<gpu::FrameMemo> frameMemo)
     : cfg_(std::move(cfg)), phone_(phoneSpec(cfg_.phone)),
       display_(resolveDisplay(cfg_, phone_)),
       osVersion_(cfg_.osVersion ? cfg_.osVersion : phone_.osVersion),
       rng_(cfg_.seed), aliveToken_(std::make_shared<int>(0))
 {
     engine_ = std::make_unique<gpu::RenderEngine>(
-        eq_, gpu::adrenoModel(phone_.adrenoGen), rng_.next());
+        eq_, gpu::adrenoModel(phone_.adrenoGen), rng_.next(),
+        std::move(frameMemo));
     engine_->setNoiseSigma(cfg_.noiseSigma);
     kgsl_ = std::make_unique<kgsl::KgslDevice>(*engine_, stockPolicy_);
     wm_ = std::make_unique<WindowManager>(eq_, *engine_, display_);
@@ -85,14 +101,7 @@ Device::~Device()
 std::string
 Device::modelKey() const
 {
-    // The target app is part of the configuration: its credential
-    // field's geometry shapes the echo line and blink variants the
-    // model carries (§3.2 — one model per device model AND
-    // configuration).
-    return phone_.id + "/adreno" + std::to_string(phone_.adrenoGen) +
-           "/" + display_.name + "@" +
-           std::to_string(display_.refreshHz) + "/" + cfg_.keyboard +
-           "/android" + std::to_string(osVersion_) + "/" + cfg_.app;
+    return android::modelKey(cfg_);
 }
 
 kgsl::ProcessContext

@@ -49,11 +49,25 @@ struct DeviceConfig
     std::uint64_t seed = 42;
 };
 
+/**
+ * Identifies the (phone, GPU, display, keyboard, OS, app) combination
+ * a signature model is trained for — the classification-model key of
+ * paper §3.2 — without assembling a Device. Fatal on an unknown phone
+ * or resolution, as Device construction is.
+ */
+std::string modelKey(const DeviceConfig &cfg);
+
 /** A fully assembled victim smartphone. */
 class Device
 {
   public:
-    explicit Device(DeviceConfig cfg);
+    /**
+     * @param frameMemo rendered-frame memo shared by every device on
+     *   this phone's GPU model (attack::ModelStore owns one per
+     *   model); null gives the device a private one.
+     */
+    explicit Device(DeviceConfig cfg,
+                    std::shared_ptr<gpu::FrameMemo> frameMemo = nullptr);
     ~Device();
 
     // Non-movable: surfaces hold references into the device.
@@ -75,11 +89,7 @@ class Device
     const DisplayConfig &display() const { return display_; }
     int osVersion() const { return osVersion_; }
 
-    /**
-     * Identifies the (phone, GPU, display, keyboard, OS) combination a
-     * signature model is trained for — the classification-model key of
-     * paper §3.2.
-     */
+    /** android::modelKey() of this device's configuration. */
     std::string modelKey() const;
 
     /** SELinux context of the attacking application. */

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "gpu/model.h"
 #include "util/binary_io.h"
 #include "util/logging.h"
 
@@ -34,16 +35,25 @@ const SignatureModel &
 ModelStore::getOrTrain(const android::DeviceConfig &cfg,
                        const OfflineTrainer &trainer)
 {
-    // Key derivation must match Device::modelKey(); build a throwaway
-    // device only to compute it cheaply? Constructing a Device is
-    // cheap (no simulation run), so use it directly.
-    const std::string key = android::Device(cfg).modelKey();
+    const std::string key = android::modelKey(cfg);
+    const int gen = android::phoneSpec(cfg.phone).adrenoGen;
+    if (frameMemos_.find(gen) == frameMemos_.end())
+        frameMemos_.emplace(
+            gen, std::make_shared<gpu::FrameMemo>(gpu::adrenoModel(gen)));
+
     auto it = models_.find(key);
     if (it != models_.end())
         return it->second;
     inform("ModelStore: training model for %s", key.c_str());
     SignatureModel m = trainer.train(cfg);
     return models_.emplace(key, std::move(m)).first->second;
+}
+
+std::shared_ptr<gpu::FrameMemo>
+ModelStore::frameMemo(const android::DeviceConfig &cfg) const
+{
+    auto it = frameMemos_.find(android::phoneSpec(cfg.phone).adrenoGen);
+    return it == frameMemos_.end() ? nullptr : it->second;
 }
 
 std::vector<std::string>

@@ -3,13 +3,16 @@
  * Store of preloaded per-configuration signature models (the attack
  * APK ships thousands of these; §7.6 sizes them at ~3.6 kB each).
  * Also memoises training so experiment campaigns train each device
- * configuration only once.
+ * configuration only once, and owns one gpu::FrameMemo per GPU model
+ * so every victim device built from the store renders each distinct
+ * frame once per process. The memos are never serialised.
  */
 
 #ifndef GPUSC_ATTACK_MODEL_STORE_H
 #define GPUSC_ATTACK_MODEL_STORE_H
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "android/device.h"
 #include "attack/signature.h"
 #include "attack/trainer.h"
+#include "gpu/frame_memo.h"
 
 namespace gpusc::attack {
 
@@ -32,10 +36,20 @@ class ModelStore
 
     /**
      * Return the model for the configuration, training it via the
-     * offline phase if the store does not have it yet.
+     * offline phase if the store does not have it yet, and create the
+     * frame memo of its GPU model if there is none. Not thread-safe
+     * when it trains or creates; once both exist for @p cfg, calls
+     * for it only read the store.
      */
     const SignatureModel &getOrTrain(const android::DeviceConfig &cfg,
                                      const OfflineTrainer &trainer);
+
+    /**
+     * The frame memo shared by victim devices on @p cfg's GPU model,
+     * or null before getOrTrain() has seen that model.
+     */
+    std::shared_ptr<gpu::FrameMemo>
+    frameMemo(const android::DeviceConfig &cfg) const;
 
     std::size_t size() const { return models_.size(); }
     std::vector<std::string> keys() const;
@@ -79,6 +93,8 @@ class ModelStore
 
   private:
     std::map<std::string, SignatureModel> models_;
+    /** Keyed on the Adreno generation. */
+    std::map<int, std::shared_ptr<gpu::FrameMemo>> frameMemos_;
 };
 
 } // namespace gpusc::attack

@@ -23,7 +23,8 @@ ExperimentRunner::ExperimentRunner(ExperimentConfig cfg,
     // Victim device + session.
     android::DeviceConfig devCfg = cfg_.device;
     devCfg.seed = cfg_.seed ^ 0x76696374696dULL;
-    device_ = std::make_unique<android::Device>(devCfg);
+    device_ = std::make_unique<android::Device>(
+        devCfg, store.frameMemo(cfg_.device));
 
     // Defense stack on the victim's driver (the lab device above
     // trained against a stock one). Installed before boot so the very

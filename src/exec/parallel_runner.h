@@ -23,7 +23,8 @@
  * device, own attack session), so shards share no mutable state but
  * the ModelStore — which the ParallelRunner pre-trains in its
  * constructor, making every worker-side access a read-only cache
- * hit.
+ * hit — and the store's mutex-guarded gpu::FrameMemo, whose values
+ * are pure functions of the scene, so its fill order is invisible.
  *
  * Note the parallel contract is self-consistency across thread
  * counts, not byte-equality with ExperimentRunner::runTrials: the

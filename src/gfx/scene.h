@@ -44,6 +44,8 @@ struct Prim
     Rect rect;
     bool opaque = true;
     PrimTag tag = PrimTag::AppContent;
+
+    bool operator==(const Prim &) const = default;
 };
 
 /** One frame's worth of GPU work. */
@@ -56,8 +58,10 @@ struct FrameScene
 
     bool empty() const { return damage.empty() || prims.empty(); }
 
-    /** Append a quad clipped to the damage region (if visible). */
-    void
+    /** Append a quad clipped to the damage region (if visible).
+     *  Forced inline: scene builders call it once per prim on every
+     *  submit, and GCC otherwise keeps an out-of-line copy. */
+    [[gnu::always_inline]] void
     add(const Rect &r, bool opaque, PrimTag tag)
     {
         Rect clipped = r.intersect(damage);
@@ -79,9 +83,13 @@ struct FrameScene
 
     /**
      * Stable content hash over damage and primitive list; used by the
-     * render engine to memoise counter deltas for identical frames.
+     * GPU frame memo to memoise counter deltas for identical frames.
      */
     std::uint64_t contentHash() const;
+
+    /** Same damage and the same prims in the same order (what a frame
+     *  memo hit must match, beyond its 64-bit hash). */
+    bool operator==(const FrameScene &) const = default;
 };
 
 } // namespace gpusc::gfx

@@ -18,8 +18,11 @@ constexpr SimTime kRetireAge = 500_ms;
 } // namespace
 
 RenderEngine::RenderEngine(EventQueue &eq, const GpuModel &model,
-                           std::uint64_t noiseSeed)
-    : eq_(eq), pipeline_(model), rng_(noiseSeed)
+                           std::uint64_t noiseSeed,
+                           std::shared_ptr<FrameMemo> memo)
+    : eq_(eq), pipeline_(model),
+      memo_(memo ? std::move(memo) : std::make_shared<FrameMemo>(model)),
+      rng_(noiseSeed)
 {
 }
 
@@ -29,16 +32,10 @@ RenderEngine::submit(const gfx::FrameScene &scene, int ownerPid)
     if (scene.empty())
         return eq_.now();
 
-    const std::uint64_t key = scene.contentHash();
-    auto it = sceneCache_.find(key);
-    if (it == sceneCache_.end()) {
-        FrameResult r = pipeline_.render(scene);
-        it = sceneCache_
-                 .emplace(key, CacheEntry{r.deltas, r.rasterizedPixels})
-                 .first;
-    }
+    FrameMemo::Frame frame =
+        memo_->lookupOrRender(scene.contentHash(), scene, pipeline_);
 
-    CounterVec deltas = it->second.deltas;
+    CounterVec &deltas = frame.deltas;
     if (noiseSigma_ > 0.0) {
         // Concurrent OS rendering (status-bar clock, blending/dither
         // variation) perturbs each active counter slightly.
@@ -53,7 +50,7 @@ RenderEngine::submit(const gfx::FrameScene &scene, int ownerPid)
 
     const SimTime start = std::max(eq_.now(), busyUntil_);
     const double costUs =
-        pipeline_.model().renderCostUs(it->second.rasterizedPixels);
+        pipeline_.model().renderCostUs(frame.rasterizedPixels);
     const SimTime end =
         start + SimTime::fromNs(std::int64_t(costUs * 1e3 + 0.5));
 

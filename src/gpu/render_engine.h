@@ -10,8 +10,15 @@
  * paper's Algorithm 1 repairs (two consecutive reads see two pieces
  * that sum to the true per-frame delta).
  *
- * Identical frames (same damage + draw list) hit a content-hash memo
- * so long experiment campaigns do not re-rasterise unchanged scenes.
+ * Identical frames (same damage + draw list) are rendered once per
+ * GPU model: the engine looks every scene up in a gpu::FrameMemo.
+ * attack::ModelStore owns one memo per GPU model and hands it to each
+ * victim Device it builds, so campaign shards and trials share it; an
+ * engine built without one gets a private memo through the same path.
+ * A hit needs full scene equality, not just the content hash, and the
+ * memo stops inserting at its entry cap. Counter deltas are a pure
+ * function of (model, scene), so neither the fill order nor the cap
+ * can change anything the engine reports.
  */
 
 #ifndef GPUSC_GPU_RENDER_ENGINE_H
@@ -19,10 +26,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <unordered_map>
 
 #include "gfx/scene.h"
 #include "gpu/counters.h"
+#include "gpu/frame_memo.h"
 #include "gpu/model.h"
 #include "gpu/pipeline.h"
 #include "util/event_queue.h"
@@ -34,8 +43,13 @@ namespace gpusc::gpu {
 class RenderEngine
 {
   public:
+    /**
+     * @param memo frame memo shared with other engines on @p model;
+     *   null gives this engine a private one.
+     */
     RenderEngine(EventQueue &eq, const GpuModel &model,
-                 std::uint64_t noiseSeed = 1);
+                 std::uint64_t noiseSeed = 1,
+                 std::shared_ptr<FrameMemo> memo = nullptr);
 
     /**
      * Submit a surface redraw. The job starts when the GPU becomes
@@ -94,6 +108,9 @@ class RenderEngine
 
     const GpuModel &model() const { return pipeline_.model(); }
 
+    /** The frame memo this engine renders through. */
+    const FrameMemo &frameMemo() const { return *memo_; }
+
     std::uint64_t framesRendered() const { return framesRendered_; }
     /** Total GPU-active time since construction (for the power model). */
     SimTime totalBusyTime() const { return totalBusy_; }
@@ -105,12 +122,6 @@ class RenderEngine
         SimTime end;
         CounterVec deltas;
         int ownerPid = 0;
-    };
-
-    struct CacheEntry
-    {
-        CounterVec deltas;
-        std::int64_t rasterizedPixels;
     };
 
     /** Counters accrued by @p job as observable at time @p t. */
@@ -125,6 +136,7 @@ class RenderEngine
 
     EventQueue &eq_;
     Pipeline pipeline_;
+    std::shared_ptr<FrameMemo> memo_;
     Rng rng_;
     double noiseSigma_ = 0.0;
 
@@ -139,8 +151,6 @@ class RenderEngine
     SimTime busyUntil_;
     SimTime totalBusy_;
     std::uint64_t framesRendered_ = 0;
-
-    std::unordered_map<std::uint64_t, CacheEntry> sceneCache_;
 };
 
 } // namespace gpusc::gpu

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "android/app.h"
 #include "android/device.h"
+#include "android/keyboard.h"
+#include "android/phone.h"
 
 namespace gpusc::android {
 namespace {
@@ -37,6 +43,48 @@ TEST(DeviceTest, ModelKeyEncodesConfiguration)
     EXPECT_NE(key.find("swift"), std::string::npos);
     EXPECT_NE(key.find("amex"), std::string::npos);
     EXPECT_NE(key.find("android11"), std::string::npos);
+}
+
+TEST(DeviceTest, FreeModelKeyMatchesDeviceModelKey)
+{
+    std::vector<std::string> apps = nativeAppNames();
+    apps.insert(apps.end(), webAppNames().begin(), webAppNames().end());
+    std::size_t checked = 0;
+    for (const std::string &phone : phoneIds())
+        for (const std::string &keyboard : keyboardNames())
+            for (const std::string &app : apps) {
+                DeviceConfig cfg;
+                cfg.phone = phone;
+                cfg.keyboard = keyboard;
+                cfg.app = app;
+                EXPECT_EQ(modelKey(cfg), Device(cfg).modelKey());
+                ++checked;
+            }
+    EXPECT_GT(checked, 0u);
+
+    // Overrides of refresh rate, resolution and OS version.
+    for (const std::string &phone : phoneIds())
+        for (const char *res : {"", "FHD+", "QHD+"})
+            for (int hz : {0, 60, 120})
+                for (int os : {0, 8, 12}) {
+                    DeviceConfig cfg;
+                    cfg.phone = phone;
+                    cfg.resolution = res;
+                    cfg.refreshHz = hz;
+                    cfg.osVersion = os;
+                    EXPECT_EQ(modelKey(cfg), Device(cfg).modelKey())
+                        << phone << " " << res << " " << hz << " " << os;
+                }
+}
+
+TEST(DeviceDeathTest, FreeModelKeyRejectsWhatDeviceRejects)
+{
+    DeviceConfig badPhone;
+    badPhone.phone = "nokia3310";
+    EXPECT_DEATH((void)modelKey(badPhone), "unknown phone");
+    DeviceConfig badRes;
+    badRes.resolution = "4K";
+    EXPECT_DEATH((void)modelKey(badRes), "unknown resolution");
 }
 
 TEST(DeviceTest, ConfigOverridesApply)

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "attack/model_store.h"
@@ -310,6 +311,41 @@ TEST(ModelStoreTest, GetOrTrainCachesByConfiguration)
     EXPECT_EQ(store.size(), 1u);
     const SignatureModel &second = store.getOrTrain(cfg, trainer);
     EXPECT_EQ(&first, &second); // trained exactly once
+}
+
+TEST(ModelStoreTest, OneFrameMemoPerGpuModelNeverSerialised)
+{
+    ModelStore store;
+    const OfflineTrainer trainer(OfflineTrainer::Params{
+        .repetitions = 1,
+        .thresholdMargin = 2.5,
+        .pressDuration = SimTime::fromMs(120)});
+    android::DeviceConfig a;
+    a.keyboard = "go";
+    EXPECT_EQ(store.frameMemo(a), nullptr);
+    store.getOrTrain(a, trainer);
+    const std::shared_ptr<gpu::FrameMemo> memo = store.frameMemo(a);
+    ASSERT_NE(memo, nullptr);
+    EXPECT_EQ(memo->model().generation, 650);
+
+    // Another configuration on the same GPU shares the memo ...
+    android::DeviceConfig b = a;
+    b.app = "amex";
+    b.resolution = "QHD+";
+    store.getOrTrain(b, trainer);
+    EXPECT_EQ(store.frameMemo(b), memo);
+    // ... one on another GPU gets its own.
+    android::DeviceConfig c = a;
+    c.phone = "pixel2";
+    store.getOrTrain(c, trainer);
+    ASSERT_NE(store.frameMemo(c), nullptr);
+    EXPECT_NE(store.frameMemo(c), memo);
+    EXPECT_EQ(store.frameMemo(c)->model().generation, 540);
+
+    // The memo is process state, not part of the store's bytes.
+    const ModelStore back = ModelStore::deserialize(store.serialize());
+    EXPECT_EQ(back.size(), 3u);
+    EXPECT_EQ(back.frameMemo(a), nullptr);
 }
 
 } // namespace

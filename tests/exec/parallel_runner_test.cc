@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,7 +51,8 @@ struct CampaignOut
 
 CampaignOut
 runCampaign(std::size_t threads, std::uint64_t seed,
-            const kgsl::FaultPlan &faults = {})
+            const kgsl::FaultPlan &faults = {},
+            attack::ModelStore &models = store())
 {
     obs::Telemetry telemetry;
     eval::ExperimentConfig cfg;
@@ -59,7 +61,7 @@ runCampaign(std::size_t threads, std::uint64_t seed,
     cfg.faultPlan = faults;
     ShardPlan plan;
     plan.shardSize = 2;
-    ParallelRunner runner(cfg, store(), threads, plan);
+    ParallelRunner runner(cfg, models, threads, plan);
     const ParallelResult res = runner.runTrials(6, 8, 10);
 
     CampaignOut out;
@@ -127,6 +129,40 @@ TEST(ParallelRunnerTest, FaultyCampaignAggregatesDeterministically)
     expectIdentical(one, four, "faulty campaign threads 1 vs 4");
     EXPECT_GT(one.faultSum, 0u) << "faults were actually injected";
     EXPECT_GT(one.healthSum, 0u) << "pipeline recovered from them";
+}
+
+/** A store holding store()'s trained models but no frame memo yet
+ *  (its first getOrTrain creates an empty one). */
+std::unique_ptr<attack::ModelStore>
+coldCopyOfStore()
+{
+    store().getOrTrain(eval::ExperimentConfig{}.device,
+                       attack::OfflineTrainer{});
+    auto s = std::make_unique<attack::ModelStore>();
+    for (const auto &[key, model] : store().all())
+        s->put(model);
+    return s;
+}
+
+TEST(ParallelRunnerTest, FrameMemoWarmthNeverChangesResults)
+{
+    setVerbose(false);
+    const auto cold1 = coldCopyOfStore();
+    const auto cold4 = coldCopyOfStore();
+    const CampaignOut ref = runCampaign(1, 7006, {}, *cold1);
+    expectIdentical(ref, runCampaign(4, 7006, {}, *cold4),
+                    "cold store, threads 1 vs 4");
+
+    // Pre-warm a store with another campaign, then rerun on it.
+    const auto warm = coldCopyOfStore();
+    runCampaign(4, 7007, {}, *warm);
+    const eval::ExperimentConfig cfg;
+    ASSERT_NE(warm->frameMemo(cfg.device), nullptr);
+    EXPECT_GT(warm->frameMemo(cfg.device)->entries(), 0u);
+    expectIdentical(ref, runCampaign(1, 7006, {}, *warm),
+                    "cold vs pre-warmed store, threads 1");
+    expectIdentical(ref, runCampaign(4, 7006, {}, *warm),
+                    "cold vs pre-warmed store, threads 4");
 }
 
 TEST(ParallelRunnerTest, SeedChangesTheCampaign)
