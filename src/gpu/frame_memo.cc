@@ -20,7 +20,7 @@ FrameMemo::findLocked(std::uint64_t hash,
     return nullptr;
 }
 
-FrameMemo::Frame
+FrameResult
 FrameMemo::lookupOrRender(std::uint64_t hash,
                           const gfx::FrameScene &scene,
                           Pipeline &pipeline)
@@ -34,8 +34,7 @@ FrameMemo::lookupOrRender(std::uint64_t hash,
             return e->frame;
     }
 
-    const FrameResult r = pipeline.render(scene);
-    const Frame frame{r.deltas, r.rasterizedPixels};
+    const FrameResult frame = pipeline.render(scene);
 
     const std::lock_guard<std::mutex> lock(mu_);
     // Another thread may have rendered the same scene meanwhile; its

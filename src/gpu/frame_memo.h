@@ -7,8 +7,8 @@
  * so every RenderEngine on that model can share one table of them.
  * A lookup is keyed on the scene's 64-bit content hash and hits only
  * on full scene equality, so a hash collision renders instead of
- * returning another scene's counters. The table holds at most
- * capacity() entries and never evicts: once full, a miss just renders.
+ * returning another scene's counters. The table holds at most its
+ * capacity in entries and never evicts: once full, a miss just renders.
  * Because the values are pure, neither the fill order nor the cap can
  * change any output — only how often Pipeline::render runs.
  *
@@ -25,23 +25,15 @@
 #include <unordered_map>
 
 #include "gfx/scene.h"
-#include "gpu/counters.h"
 #include "gpu/model.h"
 #include "gpu/pipeline.h"
 
 namespace gpusc::gpu {
 
-/** Counter deltas + drawn pixels of one frame on one GPU model. */
+/** Counter deltas + drawn pixels of frames on one GPU model. */
 class FrameMemo
 {
   public:
-    /** What a frame costs and produces (see FrameResult). */
-    struct Frame
-    {
-        CounterVec deltas{};
-        std::int64_t rasterizedPixels = 0;
-    };
-
     /** Default entry cap: ~10x the distinct frames of a default-config
      *  campaign, a few MB at keyboard-frame sizes. */
     static constexpr std::size_t kDefaultCapacity = 2048;
@@ -58,12 +50,12 @@ class FrameMemo
      * the memo has room.
      * @param hash scene.contentHash(), computed by the caller.
      */
-    Frame lookupOrRender(std::uint64_t hash, const gfx::FrameScene &scene,
-                         Pipeline &pipeline);
+    FrameResult lookupOrRender(std::uint64_t hash,
+                               const gfx::FrameScene &scene,
+                               Pipeline &pipeline);
 
     /** The GPU model every entry was rendered for. */
     const GpuModel &model() const { return model_; }
-    std::size_t capacity() const { return capacity_; }
 
     /** Frames held. Depends on which scenes arrived first under
      *  concurrency, so keep it out of outputs that must be
@@ -76,7 +68,7 @@ class FrameMemo
     struct Entry
     {
         gfx::FrameScene scene;
-        Frame frame;
+        FrameResult frame;
     };
 
     /** Entry equal to @p scene under @p hash, or null; mu_ held. */

@@ -32,7 +32,7 @@ RenderEngine::submit(const gfx::FrameScene &scene, int ownerPid)
     if (scene.empty())
         return eq_.now();
 
-    FrameMemo::Frame frame =
+    FrameResult frame =
         memo_->lookupOrRender(scene.contentHash(), scene, pipeline_);
 
     CounterVec &deltas = frame.deltas;

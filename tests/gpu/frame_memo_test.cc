@@ -55,7 +55,7 @@ scenePool(std::size_t n, std::uint64_t seed)
 }
 
 void
-expectSame(const FrameMemo::Frame &got, const FrameResult &want)
+expectSame(const FrameResult &got, const FrameResult &want)
 {
     EXPECT_EQ(got.deltas, want.deltas);
     EXPECT_EQ(got.rasterizedPixels, want.rasterizedPixels);
@@ -157,7 +157,7 @@ TEST(FrameMemoTest, FourThreadsAgreeWithSerialReference)
                     // Each thread walks the pool from its own offset.
                     const std::size_t k =
                         (i + std::size_t(t) * 11) % pool.size();
-                    const FrameMemo::Frame f = memo.lookupOrRender(
+                    const FrameResult f = memo.lookupOrRender(
                         pool[k].contentHash(), pool[k], pipe);
                     if (f.deltas != want[k].deltas ||
                         f.rasterizedPixels != want[k].rasterizedPixels)
