@@ -62,9 +62,9 @@ class Device
 {
   public:
     /**
-     * @param frameMemo rendered-frame memo shared by every device on
-     *   this phone's GPU model (attack::ModelStore owns one per
-     *   model); null gives the device a private one.
+     * @param frameMemo rendered-frame memo shared by every device of
+     *   this configuration (attack::ModelStore owns one per
+     *   configuration); null gives the device a private one.
      */
     explicit Device(DeviceConfig cfg,
                     std::shared_ptr<gpu::FrameMemo> frameMemo = nullptr);

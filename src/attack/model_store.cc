@@ -36,10 +36,11 @@ ModelStore::getOrTrain(const android::DeviceConfig &cfg,
                        const OfflineTrainer &trainer)
 {
     const std::string key = android::modelKey(cfg);
-    const int gen = android::phoneSpec(cfg.phone).adrenoGen;
-    if (frameMemos_.find(gen) == frameMemos_.end())
+    if (frameMemos_.find(key) == frameMemos_.end()) {
+        const int gen = android::phoneSpec(cfg.phone).adrenoGen;
         frameMemos_.emplace(
-            gen, std::make_shared<gpu::FrameMemo>(gpu::adrenoModel(gen)));
+            key, std::make_shared<gpu::FrameMemo>(gpu::adrenoModel(gen)));
+    }
 
     auto it = models_.find(key);
     if (it != models_.end())
@@ -52,7 +53,7 @@ ModelStore::getOrTrain(const android::DeviceConfig &cfg,
 std::shared_ptr<gpu::FrameMemo>
 ModelStore::frameMemo(const android::DeviceConfig &cfg) const
 {
-    auto it = frameMemos_.find(android::phoneSpec(cfg.phone).adrenoGen);
+    auto it = frameMemos_.find(android::modelKey(cfg));
     return it == frameMemos_.end() ? nullptr : it->second;
 }
 

@@ -3,9 +3,10 @@
  * Store of preloaded per-configuration signature models (the attack
  * APK ships thousands of these; §7.6 sizes them at ~3.6 kB each).
  * Also memoises training so experiment campaigns train each device
- * configuration only once, and owns one gpu::FrameMemo per GPU model
- * so every victim device built from the store renders each distinct
- * frame once per process. The memos are never serialised.
+ * configuration only once, and owns one gpu::FrameMemo per
+ * configuration next to its model, so every victim device built from
+ * the store renders each distinct frame of that configuration once
+ * per process. The memos are never serialised.
  */
 
 #ifndef GPUSC_ATTACK_MODEL_STORE_H
@@ -37,7 +38,7 @@ class ModelStore
     /**
      * Return the model for the configuration, training it via the
      * offline phase if the store does not have it yet, and create the
-     * frame memo of its GPU model if there is none. Not thread-safe
+     * configuration's frame memo if there is none. Not thread-safe
      * when it trains or creates; once both exist for @p cfg, calls
      * for it only read the store.
      */
@@ -45,8 +46,8 @@ class ModelStore
                                      const OfflineTrainer &trainer);
 
     /**
-     * The frame memo shared by victim devices on @p cfg's GPU model,
-     * or null before getOrTrain() has seen that model.
+     * The frame memo shared by victim devices built for @p cfg, or
+     * null before getOrTrain() has seen that configuration.
      */
     std::shared_ptr<gpu::FrameMemo>
     frameMemo(const android::DeviceConfig &cfg) const;
@@ -93,8 +94,8 @@ class ModelStore
 
   private:
     std::map<std::string, SignatureModel> models_;
-    /** Keyed on the Adreno generation. */
-    std::map<int, std::shared_ptr<gpu::FrameMemo>> frameMemos_;
+    /** Keyed like models_, on android::modelKey(). */
+    std::map<std::string, std::shared_ptr<gpu::FrameMemo>> frameMemos_;
 };
 
 } // namespace gpusc::attack

@@ -4,11 +4,6 @@
 
 namespace gpusc::gpu {
 
-FrameMemo::FrameMemo(const GpuModel &model, std::size_t capacity)
-    : model_(model), capacity_(capacity)
-{
-}
-
 const FrameMemo::Entry *
 FrameMemo::findLocked(std::uint64_t hash,
                       const gfx::FrameScene &scene) const
@@ -39,7 +34,7 @@ FrameMemo::lookupOrRender(std::uint64_t hash,
     const std::lock_guard<std::mutex> lock(mu_);
     // Another thread may have rendered the same scene meanwhile; its
     // entry holds the same values, so keep just the one.
-    if (table_.size() < capacity_ && !findLocked(hash, scene)) {
+    if (table_.size() < kCapacity && !findLocked(hash, scene)) {
         table_.emplace(hash, Entry{scene, frame});
         bytes_ += sizeof(Entry) + sizeof(std::uint64_t) +
                   scene.prims.size() * sizeof(gfx::Prim);

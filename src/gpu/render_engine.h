@@ -11,9 +11,10 @@
  * that sum to the true per-frame delta).
  *
  * Identical frames (same damage + draw list) are rendered once per
- * GPU model: the engine looks every scene up in a gpu::FrameMemo.
- * attack::ModelStore owns one memo per GPU model and hands it to each
- * victim Device it builds, so campaign shards and trials share it; an
+ * memo: the engine looks every scene up in a gpu::FrameMemo.
+ * attack::ModelStore owns one memo per device configuration, next to
+ * its signature model, and hands it to each victim Device built for
+ * that configuration, so campaign shards and trials share it; an
  * engine built without one gets a private memo through the same path.
  * A hit needs full scene equality, not just the content hash, and the
  * memo stops inserting at its entry cap. Counter deltas are a pure
@@ -107,9 +108,6 @@ class RenderEngine
     const EventQueue &clock() const { return eq_; }
 
     const GpuModel &model() const { return pipeline_.model(); }
-
-    /** The frame memo this engine renders through. */
-    const FrameMemo &frameMemo() const { return *memo_; }
 
     std::uint64_t framesRendered() const { return framesRendered_; }
     /** Total GPU-active time since construction (for the power model). */

@@ -313,7 +313,7 @@ TEST(ModelStoreTest, GetOrTrainCachesByConfiguration)
     EXPECT_EQ(&first, &second); // trained exactly once
 }
 
-TEST(ModelStoreTest, OneFrameMemoPerGpuModelNeverSerialised)
+TEST(ModelStoreTest, OneFrameMemoPerConfigurationNeverSerialised)
 {
     ModelStore store;
     const OfflineTrainer trainer(OfflineTrainer::Params{
@@ -326,21 +326,25 @@ TEST(ModelStoreTest, OneFrameMemoPerGpuModelNeverSerialised)
     store.getOrTrain(a, trainer);
     const std::shared_ptr<gpu::FrameMemo> memo = store.frameMemo(a);
     ASSERT_NE(memo, nullptr);
-    EXPECT_EQ(memo->model().generation, 650);
 
-    // Another configuration on the same GPU shares the memo ...
+    // A device seed is not part of the configuration: same memo ...
+    android::DeviceConfig seeded = a;
+    seeded.seed = a.seed + 1;
+    store.getOrTrain(seeded, trainer);
+    EXPECT_EQ(store.frameMemo(seeded), memo);
+    // ... while another configuration, on this GPU or another one,
+    // gets its own.
     android::DeviceConfig b = a;
     b.app = "amex";
-    b.resolution = "QHD+";
+    EXPECT_EQ(store.frameMemo(b), nullptr);
     store.getOrTrain(b, trainer);
-    EXPECT_EQ(store.frameMemo(b), memo);
-    // ... one on another GPU gets its own.
+    ASSERT_NE(store.frameMemo(b), nullptr);
+    EXPECT_NE(store.frameMemo(b), memo);
     android::DeviceConfig c = a;
     c.phone = "pixel2";
     store.getOrTrain(c, trainer);
     ASSERT_NE(store.frameMemo(c), nullptr);
     EXPECT_NE(store.frameMemo(c), memo);
-    EXPECT_EQ(store.frameMemo(c)->model().generation, 540);
 
     // The memo is process state, not part of the store's bytes.
     const ModelStore back = ModelStore::deserialize(store.serialize());

@@ -97,32 +97,22 @@ TEST(FrameMemoTest, ForcedHashCollisionKeepsScenesApart)
 TEST(FrameMemoTest, FullMemoStillRendersAndDoesNotGrow)
 {
     const GpuModel &model = adrenoModel(640);
-    FrameMemo memo(model, 4);
+    FrameMemo memo(model);
     Pipeline pipe(model), ref(model);
-    const std::vector<gfx::FrameScene> pool = scenePool(10, 13);
+    const std::vector<gfx::FrameScene> pool =
+        scenePool(FrameMemo::kCapacity + 8, 13);
     for (const gfx::FrameScene &s : pool)
         memo.lookupOrRender(s.contentHash(), s, pipe);
-    ASSERT_EQ(memo.entries(), 4u);
+    ASSERT_EQ(memo.entries(), FrameMemo::kCapacity);
     const std::size_t bytes = memo.bytes();
 
+    // Scenes that found no room render afresh on every lookup.
     for (int pass = 0; pass < 2; ++pass)
         for (const gfx::FrameScene &s : pool)
             expectSame(memo.lookupOrRender(s.contentHash(), s, pipe),
                        ref.render(s));
-    EXPECT_EQ(memo.entries(), 4u);
+    EXPECT_EQ(memo.entries(), FrameMemo::kCapacity);
     EXPECT_EQ(memo.bytes(), bytes);
-}
-
-TEST(FrameMemoTest, ZeroCapacityMemoRendersEveryFrame)
-{
-    const GpuModel &model = adrenoModel(650);
-    FrameMemo memo(model, 0);
-    Pipeline pipe(model), ref(model);
-    for (const gfx::FrameScene &s : scenePool(6, 14))
-        expectSame(memo.lookupOrRender(s.contentHash(), s, pipe),
-                   ref.render(s));
-    EXPECT_EQ(memo.entries(), 0u);
-    EXPECT_EQ(memo.bytes(), 0u);
 }
 
 TEST(FrameMemoDeathTest, PipelineOfAnotherModelIsFatal)
@@ -137,26 +127,27 @@ TEST(FrameMemoDeathTest, PipelineOfAnotherModelIsFatal)
 TEST(FrameMemoTest, FourThreadsAgreeWithSerialReference)
 {
     const GpuModel &model = adrenoModel(650);
-    const std::vector<gfx::FrameScene> pool = scenePool(48, 16);
+    // More scenes than the cap, so the threads race on the last free
+    // slots as well as on lookups.
+    const std::vector<gfx::FrameScene> pool =
+        scenePool(FrameMemo::kCapacity + 16, 16);
     std::vector<FrameResult> want;
     Pipeline ref(model);
     for (const gfx::FrameScene &s : pool)
         want.push_back(ref.render(s));
 
-    // A cap below the pool size makes the threads race on the last
-    // free slots as well as on lookups.
-    FrameMemo memo(model, 40);
+    FrameMemo memo(model);
     constexpr int kThreads = 4;
     std::vector<int> mismatches(kThreads, 0);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t)
         threads.emplace_back([&, t] {
             Pipeline pipe(model);
-            for (int pass = 0; pass < 6; ++pass)
+            for (int pass = 0; pass < 2; ++pass)
                 for (std::size_t i = 0; i < pool.size(); ++i) {
                     // Each thread walks the pool from its own offset.
                     const std::size_t k =
-                        (i + std::size_t(t) * 11) % pool.size();
+                        (i + std::size_t(t) * 521) % pool.size();
                     const FrameResult f = memo.lookupOrRender(
                         pool[k].contentHash(), pool[k], pipe);
                     if (f.deltas != want[k].deltas ||
@@ -168,7 +159,7 @@ TEST(FrameMemoTest, FourThreadsAgreeWithSerialReference)
         th.join();
     for (int t = 0; t < kThreads; ++t)
         EXPECT_EQ(mismatches[std::size_t(t)], 0) << "thread " << t;
-    EXPECT_EQ(memo.entries(), 40u);
+    EXPECT_EQ(memo.entries(), FrameMemo::kCapacity);
 }
 
 TEST(FrameMemoTest, EnginesShareOneMemo)
@@ -184,15 +175,7 @@ TEST(FrameMemoTest, EnginesShareOneMemo)
     for (const gfx::FrameScene &s : pool)
         eqB.runUntil(b.submit(s));
     EXPECT_EQ(memo->entries(), pool.size());
-    EXPECT_EQ(&a.frameMemo(), &b.frameMemo());
     EXPECT_EQ(a.readAll(), b.readAll());
-
-    // An engine built without a memo gets its own.
-    EventQueue eqC;
-    RenderEngine c(eqC, model, 3);
-    EXPECT_NE(&c.frameMemo(), memo.get());
-    eqC.runUntil(c.submit(pool[0]));
-    EXPECT_EQ(c.frameMemo().entries(), 1u);
 }
 
 } // namespace

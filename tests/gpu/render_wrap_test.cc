@@ -115,7 +115,7 @@ TEST(RenderWrapTest, CampaignAgainstWarmStoreNeverRenders)
     const exec::ParallelResult a = cold.runTrials(4, 6, 8);
     EXPECT_GT(renderCalls.load() - before, 0);
     const std::size_t entries = store.frameMemo(cfg.device)->entries();
-    EXPECT_LT(entries, FrameMemo::kDefaultCapacity);
+    EXPECT_LT(entries, FrameMemo::kCapacity);
 
     // The same seeds replay the same frames: all memo hits.
     exec::ParallelRunner warm(cfg, store, 2, plan);
